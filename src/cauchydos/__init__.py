@@ -29,6 +29,7 @@ from .free_models import (
     bethe_dos_smoothed,
     continuum_free_ids,
     continuum_ids_smoothed,
+    exact_smoothed,
     kesten_mckay_density,
     lattice_dos_smoothed,
     lattice_free_charfn,

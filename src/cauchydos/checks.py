@@ -127,15 +127,8 @@ def check_charfn_identity(d: int = 1, lam: float = 1.0, side: int = 512,
     grid = EnergyGrid(0.0, t_max, t_step)
     est = charfn_mc(spec, CauchyKernel(lam), grid, n_samples, seed,
                     phi_site=0, psi_site=psi_offset % spec.n_sites, workers=workers)
-    model = fm.LatticeFreeModel(d)
-    times = grid.points
-    if psi_offset == 0:
-        free = np.array([fm.lattice_free_charfn(model, t) for t in times]).astype(complex)
-    else:
-        offset = np.zeros(d, dtype=int)
-        offset[0] = psi_offset
-        free = np.array([fm.lattice_offdiag_charfn(model, offset, t) for t in times])
-    exact = np.exp(-lam * np.abs(times)) * free
+    exact = fm.lattice_box_charfn(fm.LatticeFreeModel(d), CauchyKernel(lam), side, 0,
+                                  psi_offset % spec.n_sites, grid.points)
     dev = np.abs(est.mean - exact)
     se = np.maximum(est.std_error, _SE_FLOOR)
     allowed = np.maximum(0.03, 4.0 * se)
@@ -167,8 +160,8 @@ def check_dos_identity(d: int = 1, lam: float = 1.0, eta: float = 0.1, side: int
     spec = LatticeBoxSpec(d, side, "periodic")
     est = dos_mc(spec, CauchyKernel(lam), grid, n_samples, seed, eta,
                  estimator=estimator, workers=workers)
-    exact = fm.lattice_dos_curve(fm.LatticeFreeModel(d), CauchyKernel(lam + eta), grid)
-    dev = np.abs(est.mean - exact.values)
+    exact = fm.exact_smoothed(fm.LatticeFreeModel(d), CauchyKernel(lam + eta), grid.points)
+    dev = np.abs(est.mean - exact)
     se = np.maximum(est.std_error, _SE_FLOOR)
     z = dev / se
     metrics = {
@@ -204,9 +197,9 @@ def check_bethe_dos(K: int = 2, lam: float = 1.0, eta: float = 0.1, depth: int =
                  estimator="trace", workers=workers)
     z = grid.points + 1j * (lam + eta)
     truncated = fm.truncated_tree_mean_stieltjes(K, depth, z).imag / np.pi
-    km = fm.bethe_dos_curve(fm.BetheFreeModel(K), CauchyKernel(lam + eta), grid)
-    bias = truncated - km.values
-    dev = np.abs(est.mean - km.values - bias)
+    km = fm.exact_smoothed(fm.BetheFreeModel(K), CauchyKernel(lam + eta), grid.points)
+    bias = truncated - km
+    dev = np.abs(est.mean - km - bias)
     se = np.maximum(est.std_error, _SE_FLOOR)
     metrics = {
         "sup_corrected": float(np.max(dev)),
@@ -239,10 +232,10 @@ def check_analytic_strip(d: int = 1, lam: float = 1.0, heights=(0.25, 0.5, -0.5)
     for y in heights:
         for e in e_points:
             z = complex(e, y)
-            fxp = fm.lattice_dos_smoothed(model, kernel, z + h)
-            fxm = fm.lattice_dos_smoothed(model, kernel, z - h)
-            fyp = fm.lattice_dos_smoothed(model, kernel, z + 1j * h)
-            fym = fm.lattice_dos_smoothed(model, kernel, z - 1j * h)
+            fxp = fm.exact_smoothed(model, kernel, z + h)
+            fxm = fm.exact_smoothed(model, kernel, z - h)
+            fyp = fm.exact_smoothed(model, kernel, z + 1j * h)
+            fym = fm.exact_smoothed(model, kernel, z - 1j * h)
             df_dx = (fxp - fxm) / (2 * h)
             df_dy = (fyp - fym) / (2 * h)
             res = abs(df_dx.real - df_dy.imag) + abs(df_dx.imag + df_dy.real)
@@ -250,7 +243,7 @@ def check_analytic_strip(d: int = 1, lam: float = 1.0, heights=(0.25, 0.5, -0.5)
     raises_ok = 0.0
     for bad in (1.05 * lam, -1.05 * lam, lam):
         try:
-            fm.lattice_dos_smoothed(model, kernel, complex(0.0, bad))
+            fm.exact_smoothed(model, kernel, complex(0.0, bad))
             raises_ok = 1.0
         except OutsideStripError:
             pass
@@ -279,8 +272,7 @@ def check_continuum_ids(lam: float = 0.2, box: int = 200, h: float = 0.05,
     e_points = e_grid.points
     est = ids_mc(bumps, CauchyKernel(lam), e_points, n_samples, seed, workers=workers)
     model = fm.ContinuumFreeModel()
-    kernel = CauchyKernel(lam)
-    exact = np.array([fm.continuum_ids_smoothed(model, kernel, e) for e in e_points])
+    exact = fm.exact_smoothed(model, CauchyKernel(lam), e_points)
     sup = float(np.max(np.abs(est.mean - exact)))
     free_vals = eigvals_sym(build_continuum(bumps, None))
     free_pts = np.arange(0.5, 4.0 + 1e-9, 0.05)

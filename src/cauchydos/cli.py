@@ -22,7 +22,7 @@ from . import free_models as fm
 from .checks import CHECK_NAMES, run_check
 from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec
 from .errors import CapExceededError
-from .measures import CauchyKernel, EnergyGrid
+from .measures import CauchyKernel, EnergyGrid, window_tail_mass
 from .spectra import charfn_mc, dos_mc
 
 FMT = "%.12g"
@@ -72,28 +72,23 @@ def _cmd_exact(args) -> int:
     params = {"model": args.model, "lambda": args.lam,
               "grid": [grid.e_min, grid.e_max, grid.step]}
 
+    column = "ids" if args.model == "continuum" else "density"
     if args.model == "lattice":
         params["dim"] = args.dim
-        curve = fm.lattice_dos_curve(fm.LatticeFreeModel(args.dim), kernel, grid)
-        stem = f"exact_lattice_d{args.dim}"
-        csv_path = out_dir / f"{stem}.csv"
-        curve.to_csv(csv_path)
-        params["declared_tail_mass"] = curve.meta.get("window_tail_mass", 0.0)
+        half = max(abs(grid.e_min), abs(grid.e_max))
+        params["declared_tail_mass"] = window_tail_mass(kernel, half)
+        model, stem = fm.LatticeFreeModel(args.dim), f"exact_lattice_d{args.dim}"
     elif args.model == "bethe":
         params["k"] = args.k
-        curve = fm.bethe_dos_curve(fm.BetheFreeModel(args.k), kernel, grid)
-        stem = f"exact_bethe_k{args.k}"
-        csv_path = out_dir / f"{stem}.csv"
-        curve.to_csv(csv_path)
+        model, stem = fm.BetheFreeModel(args.k), f"exact_bethe_k{args.k}"
     else:
-        model = fm.ContinuumFreeModel()
-        values = [fm.continuum_ids_smoothed(model, kernel, e) for e in grid.points]
-        stem = "exact_continuum"
-        csv_path = out_dir / f"{stem}.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("energy,ids\n")
-            for e, v in zip(grid.points, values):
-                fh.write(f"{FMT % e},{FMT % v}\n")
+        model, stem = fm.ContinuumFreeModel(), "exact_continuum"
+    values = fm.exact_smoothed(model, kernel, grid.points)
+    csv_path = out_dir / f"{stem}.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"energy,{column}\n")
+        for e, v in zip(grid.points, values):
+            fh.write(f"{FMT % e},{FMT % v}\n")
 
     _write_manifest(out_dir, stem, "exact", params, None, [csv_path.name],
                     time.perf_counter() - t0)
@@ -168,7 +163,7 @@ def _cmd_sample(args) -> int:
 def _exact_reference(args, spec, grid: EnergyGrid) -> np.ndarray:
     total = CauchyKernel(args.lam + args.broaden)
     if args.model == "lattice":
-        return fm.lattice_dos_curve(fm.LatticeFreeModel(args.dim), total, grid).values
+        return fm.exact_smoothed(fm.LatticeFreeModel(args.dim), total, grid.points)
     if args.model == "bethe":
         z = grid.points + 1j * total.lam
         if args.estimator == "trace":
@@ -187,15 +182,9 @@ def _cmd_charfn(args) -> int:
     spec = LatticeBoxSpec(args.dim, args.size, "periodic")
     est = charfn_mc(spec, kernel, grid, args.samples, args.seed,
                     phi_site=args.phi_site, psi_site=args.psi_offset % spec.n_sites)
-    model = fm.LatticeFreeModel(args.dim)
     times = grid.points
-    if args.psi_offset == 0 and args.phi_site == 0:
-        free = np.array([fm.lattice_free_charfn(model, t) for t in times]).astype(complex)
-    else:
-        offset = np.zeros(args.dim, dtype=int)
-        offset[0] = args.psi_offset - args.phi_site
-        free = np.array([fm.lattice_offdiag_charfn(model, offset, t) for t in times])
-    exact = np.exp(-args.lam * np.abs(times)) * free
+    exact = fm.lattice_box_charfn(fm.LatticeFreeModel(args.dim), kernel, args.size,
+                                  args.phi_site, args.psi_offset % spec.n_sites, times)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_charfn.add_argument("--t-grid", default="0:6:0.1", help="time grid min:max:step")
     p_charfn.add_argument("--phi-site", type=int, default=0)
     p_charfn.add_argument("--psi-offset", type=int, default=0,
-                          help="site offset of psi along the first axis")
+                          help="linear site index of psi, axis 0 fastest (modulo the box size)")
     add_common(p_charfn)
     p_charfn.set_defaults(func=_cmd_charfn)
 

@@ -7,13 +7,22 @@ Three families are covered:
   together with its depth-truncated finite counterpart;
 * the 1-d negative Laplacian, through its integrated density of states.
 
-The lattice route works in the time domain: the diagonal free amplitude is
-<delta_0, exp(itH0) delta_0> = J_0(2t)^d, so the Cauchy-smoothed density is
-the Fourier-cosine integral
+By the Lloyd identity every Cauchy-smoothed curve is (1/pi) Im m(E + i*lam),
+where m(z) = int dmu(x) / (x - z) is the Stieltjes transform of the free
+measure. Inside the strip |Im E| < lam it continues analytically as
+
+    p(E) = (m(E + i*lam) - m(E - i*lam)) / (2*pi*i).
+
+``exact_smoothed`` is the one evaluator. It uses closed forms where they
+exist: the Kesten-McKay transform (the chain Z is its K = 1 case) and the
+continuum IDS Re sqrt(E + i*lam) / pi. The d >= 2 lattice keeps the
+time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
     p(E) = (1/pi) * int_0^inf exp(-lam t) cos(E t) J_0(2t)^d dt,
 
-which converges for complex E throughout the strip |Im E| < lam.
+on shared Gauss-Legendre nodes. Scalar Bessel values come from
+``scipy.special``; the Miller sweep ``bessel_j_sequence`` gives the whole
+coefficient sequence the Chebyshev propagator needs.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import j0, jv
 
 from .errors import OutsideStripError
 from .measures import CauchyKernel, EnergyGrid, GridDensity, window_tail_mass
@@ -38,7 +47,9 @@ __all__ = [
     "bethe_dos_smoothed",
     "continuum_free_ids",
     "continuum_ids_smoothed",
+    "exact_smoothed",
     "kesten_mckay_density",
+    "lattice_box_charfn",
     "lattice_dos_curve",
     "lattice_dos_smoothed",
     "lattice_free_charfn",
@@ -47,8 +58,9 @@ __all__ = [
     "truncated_tree_root_stieltjes",
 ]
 
-QUAD_ABS_TOL = 1e-10
 TRUNCATION_EPS = 1e-14
+# kernel-matrix entries per block of energies in the time-domain integral
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,54 +95,134 @@ class ContinuumFreeModel:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind, integer order.
-#
-# Three regimes: ascending power series for small argument, Miller backward
-# recurrence with sum normalization for moderate argument, and the Hankel
-# large-argument asymptotic expansion where it converges below the target.
-# Absolute accuracy ~1e-13 on |x| <= 100, n <= 200.
+# The exact smoothed curves.
 # ---------------------------------------------------------------------------
 
-_SERIES_CUT = 12.0
-_ASYMPTOTIC_CUT = 3000.0
+
+def exact_smoothed(model, kernel: CauchyKernel, energy):
+    """Cauchy-smoothed free curve at real or complex energies, scalar or array.
+
+    Lattice and Bethe models give the smoothed density of states at the
+    origin/root, the continuum model the smoothed IDS per unit length. Real
+    energies give real values. Complex energies inside the strip |Im E| < lam
+    give the analytic continuation; on or beyond its boundary
+    OutsideStripError is raised.
+    """
+    real = not np.iscomplexobj(energy)
+    e = np.asarray(energy, dtype=float if real else complex)
+    lam = kernel.lam
+    height = float(np.max(np.abs(e.imag), initial=0.0))
+    if height >= lam:
+        raise OutsideStripError(f"|Im E| = {height} is outside the strip of width lambda = {lam}")
+    if isinstance(model, ContinuumFreeModel):
+        p = (np.sqrt(e + 1j * lam) + np.sqrt(e - 1j * lam)) / (2.0 * np.pi)
+    elif isinstance(model, LatticeFreeModel) and model.d > 1:
+        p = _lattice_time_integral(model.d, lam, e)
+    elif isinstance(model, (LatticeFreeModel, BetheFreeModel)):
+        K = model.K if isinstance(model, BetheFreeModel) else 1  # the chain Z is the K = 1 tree
+        p = (_tree_stieltjes(K, e + 1j * lam) - _tree_stieltjes(K, e - 1j * lam)) / (2j * np.pi)
+    else:
+        raise TypeError(f"unsupported free model {type(model).__name__}")
+    if real:
+        p = p.real
+    return p.item() if p.ndim == 0 else p
 
 
-def _bessel_series(n: int, x: float) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), x >= 0
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_t0 = n * math.log(x / 2.0) - math.lgamma(n + 1.0)
-    if log_t0 < -745.0:
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    q = -0.25 * x * x
-    for k in range(1, 400):
-        term *= q / (k * (n + k))
-        total += term
-        # pure relative cutoff: totals can be arbitrarily tiny for large order
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
+def _tree_stieltjes(K: int, z):
+    """Root Stieltjes transform of the infinite (K+1)-regular tree, z off [-2 sqrt K, 2 sqrt K].
+
+    The Kesten-McKay transform (McKay, Linear Algebra Appl. 40, 203, 1981),
+    written as 2K / ((1-K) z - (K+1) sqrt(z^2 - 4K)) so that no cancellation
+    occurs near the removable pole z^2 = (K+1)^2. K = 1 gives the arcsine law
+    of the chain, -1 / sqrt(z^2 - 4).
+    """
+    r = 2.0 * math.sqrt(K)
+    return 2.0 * K / ((1 - K) * z - (K + 1) * (np.sqrt(z - r) * np.sqrt(z + r)))
 
 
-def _bessel_asymptotic(n: int, x: float) -> float:
-    # Hankel expansion: J_n(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi),
-    # chi = x - (n/2 + 1/4) pi; valid when the terms decay fast (x >> n^2).
-    mu = 4.0 * n * n
-    p_sum, q_sum = 1.0, 0.0
-    term = 1.0
-    eight_x = 8.0 * x
-    for k in range(1, 30):
-        term *= (mu - (2 * k - 1) ** 2) / (k * eight_x)
-        if k % 2 == 1:
-            q_sum += term if (k // 2) % 2 == 0 else -term
-        else:
-            p_sum += term if (k // 2) % 2 == 0 else -term
-        if abs(term) < 1e-17:
-            break
-    chi = x - (0.5 * n + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
+@lru_cache(maxsize=8)
+def _gl_nodes(order: int = 16):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return nodes, weights
+
+
+def _time_panels(tmax: float, max_freq: float):
+    """Shared Gauss-Legendre nodes on [0, tmax], panel width tied to the fastest oscillation."""
+    width = min(0.5, 8.0 / max(max_freq, 1.0))
+    n_panels = int(math.ceil(tmax / width))
+    edges = np.linspace(0.0, tmax, n_panels + 1)
+    nodes, weights = _gl_nodes()
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return t, w
+
+
+def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarray:
+    """(1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt for real or complex E.
+
+    T follows from the strip margin lam - max|Im E| so that the discarded tail
+    is below 1e-14. The t-nodes and the J_0(2t)^d samples on them are shared
+    by every energy, so the cost is one Bessel sweep plus a cosine contraction.
+    """
+    e = np.asarray(energies)
+    margin = lam - np.max(np.abs(e.imag), initial=0.0)
+    t, w = _time_panels(-math.log(TRUNCATION_EPS) / margin,
+                        np.max(np.abs(e.real), initial=0.0) + 2.0 * d)
+    if np.iscomplexobj(e):
+        f = j0(2.0 * t) ** d * w
+
+        def kernel(x):
+            # cos(E t) alone overflows near the strip edge; pair its two
+            # exponentials with the decay exp(-lam t) before evaluating them
+            return 0.5 * (np.exp(1j * x - lam * t) + np.exp(-1j * x - lam * t))
+    else:
+        f = np.exp(-lam * t) * j0(2.0 * t) ** d * w
+        kernel = np.cos
+    flat = e.ravel()
+    out = np.empty(flat.shape, dtype=e.dtype)
+    rows = max(1, _BLOCK // t.size)
+    for start in range(0, flat.size, rows):
+        out[start:start + rows] = kernel(np.multiply.outer(flat[start:start + rows], t)) @ f
+    return out.reshape(e.shape) / np.pi
+
+
+def _curve(model, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
+    half = max(abs(grid.e_min), abs(grid.e_max))
+    return GridDensity(grid.e_min, grid.e_max, grid.step,
+                       exact_smoothed(model, kernel, grid.points), None,
+                       {"window_tail_mass": window_tail_mass(kernel, half)})
+
+
+def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
+    """Cauchy-smoothed lattice density of states; see ``exact_smoothed``."""
+    return exact_smoothed(model, kernel, energy)
+
+
+def lattice_dos_curve(model: LatticeFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
+    """Smoothed lattice DOS on a grid, with the Cauchy mass outside the window in meta."""
+    return _curve(model, kernel, grid)
+
+
+def bethe_dos_smoothed(model: BetheFreeModel, kernel: CauchyKernel, energy):
+    """Cauchy-smoothed Kesten-McKay density; see ``exact_smoothed``."""
+    return exact_smoothed(model, kernel, energy)
+
+
+def bethe_dos_curve(model: BetheFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
+    """Smoothed Kesten-McKay density on a grid, with the Cauchy mass outside the window in meta."""
+    return _curve(model, kernel, grid)
+
+
+def continuum_ids_smoothed(model: ContinuumFreeModel, kernel: CauchyKernel, energy):
+    """Cauchy-smoothed free IDS of -d^2/dx^2; see ``exact_smoothed``."""
+    return exact_smoothed(model, kernel, energy)
+
+
+# ---------------------------------------------------------------------------
+# Bessel functions of the first kind and lattice free amplitudes.
+# ---------------------------------------------------------------------------
 
 
 def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
@@ -175,68 +267,7 @@ def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x), integer order n >= 0."""
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise ValueError("order n must be a nonnegative integer")
-    x = float(x)
-    sign = 1.0
-    if x < 0:
-        x = -x
-        if n % 2 == 1:
-            sign = -1.0
-    if x <= _SERIES_CUT:
-        return sign * _bessel_series(int(n), x)
-    if x > _ASYMPTOTIC_CUT and n <= 0.2 * math.sqrt(x):
-        return sign * _bessel_asymptotic(int(n), x)
-    return sign * float(bessel_j_sequence(int(n), x)[n])
-
-
-def _j0_series_vec(x: np.ndarray) -> np.ndarray:
-    q = -0.25 * np.square(x)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 60):
-        term = term * q / (k * k)
-        total += term
-    return total
-
-
-def _j0_miller_vec(x: np.ndarray) -> np.ndarray:
-    top = int(math.ceil(float(x.max())))
-    start = top + 1 + int(math.ceil(math.sqrt(40.0 * top)))
-    if start % 2:
-        start += 1
-    fp = np.zeros_like(x)
-    f = np.full_like(x, 1e-300)
-    even_sum = np.zeros_like(x)
-    for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp, f = f, fm
-        idx = m - 1
-        if idx > 0 and idx % 2 == 0:
-            even_sum += 2.0 * fm
-        if m % 16 == 0:
-            big = np.abs(f) > 1e200
-            if big.any():
-                scale = np.where(big, 1e-200, 1.0)
-                f = f * scale
-                fp = fp * scale
-                even_sum = even_sum * scale
-    return f / (f + even_sum)
-
-
-def _j0_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized J_0 for the grid-curve quadratures (series / batched Miller)."""
-    x = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    small = x <= _SERIES_CUT
-    if small.any():
-        out[small] = _j0_series_vec(x[small])
-    if (~small).any():
-        out[~small] = _j0_miller_vec(x[~small])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Lattice free amplitudes and smoothed density of states.
-# ---------------------------------------------------------------------------
+    return float(jv(n, x))
 
 
 def lattice_free_charfn(model: LatticeFreeModel, t: float) -> float:
@@ -261,86 +292,26 @@ def lattice_offdiag_charfn(model: LatticeFreeModel, x, t: float) -> complex:
     return amp
 
 
-def _strip_margin(kernel: CauchyKernel, energy) -> float:
-    y = abs(complex(energy).imag)
-    if y >= kernel.lam:
-        raise OutsideStripError(
-            f"|Im E| = {y} is outside the strip of width lambda = {kernel.lam}"
-        )
-    return kernel.lam - y
+def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
+                       phi_site: int, psi_site: int, times) -> np.ndarray:
+    """Exact average exp(-lam|t|) <delta_phi, exp(itH) delta_psi> for two box sites.
 
-
-def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
-    """Cauchy-smoothed lattice density of states at a single (possibly complex) energy.
-
-    Evaluates (1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt by adaptive
-    quadrature, T chosen so the discarded tail is below 1e-14. Complex E is
-    accepted for |Im E| < lam and raises OutsideStripError otherwise.
+    The linear site indices of a periodic box with ``side`` sites per axis are
+    decoded with axis 0 fastest, as ``ensemble.build_lattice`` numbers them.
+    The free amplitude is taken at the per-axis offset to the nearest periodic
+    image, so offset side-1 on a ring counts as -1.
     """
-    margin = _strip_margin(kernel, energy)
-    tmax = -math.log(TRUNCATION_EPS) / margin
-    lam, d = kernel.lam, model.d
-    z = complex(energy)
-
-    if z.imag == 0.0:
-        e = z.real
-
-        def integrand(t):
-            return math.exp(-lam * t) * math.cos(e * t) * bessel_j(0, 2.0 * t) ** d
-
-        val, _ = quad(integrand, 0.0, tmax, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
-        return val / math.pi
-
-    def integrand_re(t):
-        return (math.exp(-lam * t) * bessel_j(0, 2.0 * t) ** d) * (np.cos(z * t)).real
-
-    def integrand_im(t):
-        return (math.exp(-lam * t) * bessel_j(0, 2.0 * t) ** d) * (np.cos(z * t)).imag
-
-    re, _ = quad(integrand_re, 0.0, tmax, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
-    im, _ = quad(integrand_im, 0.0, tmax, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
-    return complex(re, im) / math.pi
-
-
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int = 16):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def _time_panels(tmax: float, max_freq: float):
-    """Shared Gauss-Legendre nodes on [0, tmax], panel width tied to the fastest oscillation."""
-    width = min(0.5, 8.0 / max(max_freq, 1.0))
-    n_panels = int(math.ceil(tmax / width))
-    edges = np.linspace(0.0, tmax, n_panels + 1)
-    nodes, weights = _gl_nodes()
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return t, w
-
-
-def lattice_dos_curve(model: LatticeFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
-    """Smoothed lattice DOS on a whole grid, one shared-node quadrature.
-
-    The t-nodes (and the J_0(2t)^d samples on them) are reused for every grid
-    energy, so the cost is one Bessel sweep plus a dense cosine contraction.
-    """
-    lam, d = kernel.lam, model.d
-    energies = grid.points
-    tmax = -math.log(TRUNCATION_EPS) / lam
-    max_freq = max(abs(grid.e_min), abs(grid.e_max)) + 2.0 * d
-    t, w = _time_panels(tmax, max_freq)
-    f = np.exp(-lam * t) * _j0_vec(2.0 * t) ** d * w
-    values = np.cos(np.multiply.outer(energies, t)) @ f / np.pi
-    half = max(abs(grid.e_min), abs(grid.e_max))
-    meta = {"window_tail_mass": window_tail_mass(kernel, half)}
-    return GridDensity(grid.e_min, grid.e_max, grid.step, values, None, meta)
+    shape = (side,) * model.d
+    phi = np.array(np.unravel_index(phi_site, shape, order="F"))
+    psi = np.array(np.unravel_index(psi_site, shape, order="F"))
+    offset = (psi - phi + side // 2) % side - side // 2
+    times = np.asarray(times, dtype=float)
+    free = np.array([lattice_offdiag_charfn(model, offset, t) for t in times])
+    return np.exp(-kernel.lam * np.abs(times)) * free
 
 
 # ---------------------------------------------------------------------------
-# Bethe lattice: Kesten-McKay law, smoothed curves, truncated-tree transforms.
+# Bethe lattice: Kesten-McKay law and truncated-tree transforms.
 # ---------------------------------------------------------------------------
 
 
@@ -361,50 +332,6 @@ def kesten_mckay_density(model: BetheFreeModel, energy):
     out[band] = ((K + 1) * np.sqrt(inside[band])
                  / (2.0 * np.pi * ((K + 1) ** 2 - np.square(e[band]))))
     return out
-
-
-def bethe_dos_smoothed(model: BetheFreeModel, kernel: CauchyKernel, energy: float) -> float:
-    """Cauchy-smoothed Kesten-McKay density by adaptive quadrature over the band.
-
-    Substituting x = 2 sqrt(K) sin(theta) removes the square-root edges, so the
-    integrand is smooth on [-pi/2, pi/2].
-    """
-    K, lam, e = model.K, kernel.lam, float(energy)
-    r = model.band_edge
-
-    def integrand(theta):
-        x = r * math.sin(theta)
-        co = r * math.cos(theta)
-        rho_dx = (K + 1) * co * co / (2.0 * math.pi * ((K + 1) ** 2 - x * x))
-        return rho_dx * (lam / math.pi) / (lam * lam + (e - x) ** 2)
-
-    # for small lam the kernel is a narrow spike at sin(theta) = E/r
-    points = [math.asin(e / r)] if abs(e) < r else None
-    val, _ = quad(integrand, -math.pi / 2, math.pi / 2, points=points,
-                  epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=300)
-    return val
-
-
-def bethe_dos_curve(model: BetheFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
-    """Smoothed Kesten-McKay density on a grid via shared Gauss-Legendre panels."""
-    K, lam = model.K, kernel.lam
-    r = model.band_edge
-    nodes, weights = _gl_nodes()
-    # panel width must resolve the Lorentzian spike (width ~ lam in theta)
-    n_panels = max(40, int(math.ceil(math.pi / (2.0 * min(lam, 1.0)))))
-    edges = np.linspace(-math.pi / 2, math.pi / 2, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    x = r * np.sin(theta)
-    co = r * np.cos(theta)
-    rho_dx = (K + 1) * co * co / (2.0 * np.pi * ((K + 1) ** 2 - x * x)) * w
-    energies = grid.points
-    poisson = (lam / np.pi) / (lam * lam + np.square(energies[:, None] - x[None, :]))
-    half = max(abs(grid.e_min), abs(grid.e_max))
-    meta = {"window_tail_mass": window_tail_mass(kernel, half)}
-    return GridDensity(grid.e_min, grid.e_max, grid.step, poisson @ rho_dx, None, meta)
 
 
 def truncated_tree_root_stieltjes(K: int, depth: int, z):
@@ -451,7 +378,7 @@ def truncated_tree_mean_stieltjes(K: int, depth: int, z):
 
 
 # ---------------------------------------------------------------------------
-# 1-d continuum Laplacian: free and smoothed integrated density of states.
+# 1-d continuum Laplacian: free integrated density of states.
 # ---------------------------------------------------------------------------
 
 
@@ -462,25 +389,3 @@ def continuum_free_ids(model: ContinuumFreeModel, energy):
     return float(out) if out.ndim == 0 else out
 
 
-def continuum_ids_smoothed(model: ContinuumFreeModel, kernel: CauchyKernel, energy: float) -> float:
-    """Cauchy-smoothed free IDS at one energy.
-
-    The heavy tail is tamed by E' = E - lam tan(theta), which maps the
-    convolution to (1/pi) int_{-pi/2}^{pi/2} N0(E - lam tan theta) d(theta);
-    the integrand has a square-root kink where the argument crosses zero, so
-    the quadrature interval is split there.
-    """
-    lam, e = kernel.lam, float(energy)
-
-    def integrand(theta):
-        arg = e - lam * math.tan(theta)
-        return math.sqrt(arg) / math.pi if arg > 0 else 0.0
-
-    points = []
-    # kink: tan(theta) = E / lam
-    kink = math.atan2(e, lam)
-    if -math.pi / 2 < kink < math.pi / 2:
-        points.append(kink)
-    val, _ = quad(integrand, -math.pi / 2, math.pi / 2, points=points or None,
-                  epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-    return val / math.pi

@@ -248,8 +248,7 @@ def smear_spectrum(
         zero = np.zeros_like(energies)
         return GridDensity(grid.e_min, grid.e_max, grid.step, zero,
                            zero.copy() if include_imag else None, meta)
-    lam = kernel.lam
-    poisson = (lam / np.pi) / (lam * lam + np.square(energies[:, None] - spec.points[None, :]))
+    poisson = cauchy_density(kernel, energies[:, None] - spec.points[None, :])
     w = spec.weights
     values = poisson @ (w.real if np.iscomplexobj(w) else w)
     values_im = poisson @ w.imag if (include_imag and np.iscomplexobj(w)) else (

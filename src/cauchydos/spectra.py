@@ -8,6 +8,7 @@ exp(itH). A bug in either is caught by disagreement with the exact curves.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,8 @@ from .ensemble import (
 )
 from .errors import CapExceededError, EnclosureError, SolverError
 from .free_models import bessel_j_sequence
-from .measures import CauchyKernel, EnergyGrid, StepIDS, WeightedSpectrum
+from .measures import (CauchyKernel, EnergyGrid, StepIDS, WeightedSpectrum, cauchy_density,
+                       smear_spectrum)
 
 __all__ = [
     "DENSE_CAP",
@@ -48,10 +50,11 @@ DENSE_CAP = 4096
 
 def worker_count() -> int:
     """Thread count for sample-level parallelism, from CAUCHYDOS_THREADS (default 1)."""
+    raw = os.environ.get("CAUCHYDOS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("CAUCHYDOS_THREADS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"CAUCHYDOS_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -62,27 +65,54 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def eig_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> EigenDecomposition:
-    """Dense symmetric eigendecomposition (LAPACK), capped at ``cap``."""
+def _guarded_solve(op: SymmetricOperator, cap: int, solve):
+    """Run ``solve()``, a LAPACK symmetric solve of ``op``, capped at ``cap``.
+
+    A convergence failure names the matrix by a SHA-256 digest of its
+    triples, which is the same in every process.
+    """
     if op.n > cap:
         raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {cap}")
     try:
-        values, vectors = np.linalg.eigh(op.to_dense())
+        return solve()
     except np.linalg.LinAlgError as exc:
-        digest = hash(op.vals.tobytes())
-        raise SolverError(f"eigensolver failed to converge (matrix hash {digest:#x})") from exc
-    return EigenDecomposition(values, vectors)
+        digest = hashlib.sha256()
+        for part in (op.rows, op.cols, op.vals):
+            digest.update(part.tobytes())
+        raise SolverError(f"eigensolver failed to converge "
+                          f"(matrix sha256 {digest.hexdigest()[:16]})") from exc
+
+
+def _ring_band(op: SymmetricOperator) -> np.ndarray | None:
+    """Lower band form of ``op`` with its sites interleaved 0, n-1, 1, n-2, ...
+
+    Every bond of a chain or ring (d=1 boxes, continuum meshes) then lies
+    within two diagonals, so its eigenvalues cost a band reduction, O(n^2),
+    instead of a dense one, O(n^3). Returns None for any other structure.
+    """
+    k = np.arange(op.n)
+    pos = np.where(k < (op.n + 1) // 2, 2 * k, 2 * (op.n - 1 - k) + 1)
+    offset = np.abs(pos[op.rows] - pos[op.cols])
+    if np.any(offset > 2):
+        return None
+    band = np.zeros((3, op.n))
+    band[offset, np.minimum(pos[op.rows], pos[op.cols])] = op.vals
+    return band
+
+
+def eig_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> EigenDecomposition:
+    """Dense symmetric eigendecomposition (LAPACK), capped at ``cap``."""
+    return EigenDecomposition(*_guarded_solve(op, cap, lambda: np.linalg.eigh(op.to_dense())))
 
 
 def eigvals_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Eigenvalues only; cheaper when no spectral weights are needed."""
-    if op.n > cap:
-        raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {cap}")
-    try:
-        return np.linalg.eigvalsh(op.to_dense())
-    except np.linalg.LinAlgError as exc:
-        digest = hash(op.vals.tobytes())
-        raise SolverError(f"eigensolver failed to converge (matrix hash {digest:#x})") from exc
+    """Ascending eigenvalues only: a band solve for chains and rings, dense otherwise."""
+    band = _ring_band(op)
+    if band is None:
+        return _guarded_solve(op, cap, lambda: np.linalg.eigvalsh(op.to_dense()))
+    from scipy.linalg import eigvals_banded
+
+    return _guarded_solve(op, cap, lambda: eigvals_banded(band, lower=True, check_finite=False))
 
 
 def local_spectral_measure(eig: EigenDecomposition, site_phi: int, site_psi: int) -> WeightedSpectrum:
@@ -252,15 +282,6 @@ def _operator_dim(model_spec) -> int:
     return site_count(model_spec)
 
 
-def _broadened_from_values(values: np.ndarray, energies: np.ndarray, eta: float,
-                           weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_i w_i * psi_eta(E - E_i), with w_i = 1/n when weights is None."""
-    poisson = (eta / np.pi) / (eta * eta + np.square(energies[:, None] - values[None, :]))
-    if weights is None:
-        return poisson.sum(axis=1) / values.size
-    return poisson @ weights
-
-
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
                           mode: str) -> np.ndarray:
     """Broadened local density on the truncated tree by leaf-to-root recursion.
@@ -330,6 +351,7 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     n_sites = site_count(model_spec)
     dim = _operator_dim(model_spec)
     tree_route = isinstance(model_spec, TreeSpec) and dim > cap
+    smear = CauchyKernel(broaden)
     if dim > cap and not tree_route:
         raise CapExceededError(
             f"dense eigensolve of n={dim} exceeds cap {cap}; use the charfn route"
@@ -351,16 +373,15 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
         def per_sample(i):
             sample = draw_sample(kernel, n_sites, master_seed, i)
             values = eigvals_sym(build_operator(model_spec, sample), cap=cap)
-            return _broadened_from_values(values, energies, broaden)
+            poisson = cauchy_density(smear, energies[:, None] - values[None, :])
+            return poisson.sum(axis=1) / values.size
 
     else:
 
         def per_sample(i):
             sample = draw_sample(kernel, n_sites, master_seed, i)
             eig = eig_sym(build_operator(model_spec, sample), cap=cap)
-            meas = local_spectral_measure(eig, 0, 0)
-            return _broadened_from_values(meas.points, energies, broaden,
-                                          weights=meas.weights.real)
+            return smear_spectrum(local_spectral_measure(eig, 0, 0), smear, grid).values
 
     curves = _run_samples(per_sample, n_samples, workers)
     return _reduce(energies, curves, n_samples, master_seed)

@@ -1,6 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 
+import cauchydos
 from cauchydos.ensemble import SymmetricOperator
+
+# the package's source root, so child interpreters import this checkout from any cwd
+SRC_DIR = str(Path(cauchydos.__file__).resolve().parent.parent)
 
 ACCEPTANCE_LINES = []
 
@@ -26,3 +33,10 @@ def random_sparse_symmetric(n, seed, density=0.05):
     key = lo * n + hi
     _, idx = np.unique(key, return_index=True)
     return SymmetricOperator(n, lo[idx], hi[idx], vals[idx])
+
+
+def child_env():
+    """Copy of the environment with SRC_DIR first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env

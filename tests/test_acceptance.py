@@ -7,7 +7,6 @@ terminal-summary section after the run (and printed live under ``-s``).
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -185,7 +184,9 @@ def test_criterion_8_numerical_kernels():
 
 
 def _run_cli(args, cwd, threads="1"):
-    env = dict(os.environ)
+    from conftest import child_env
+
+    env = child_env()
     env["CAUCHYDOS_THREADS"] = threads
     return subprocess.run([sys.executable, "-m", "cauchydos.cli", *args],
                           cwd=cwd, env=env, capture_output=True, text=True)

@@ -1,14 +1,15 @@
 import json
 import math
-import os
 import subprocess
 import sys
+
+from conftest import child_env
 
 from cauchydos.cli import main
 
 
 def run_cli(args, tmp_path, env_extra=None):
-    env = dict(os.environ)
+    env = child_env()
     env.setdefault("CAUCHYDOS_THREADS", "1")
     if env_extra:
         env.update(env_extra)
@@ -167,6 +168,28 @@ def test_charfn_offdiagonal_exact_column(tmp_path):
         t = float(r[0])
         assert abs(float(r[4])) < 1e-12  # purely imaginary free amplitude
         assert abs(float(r[5]) - math.exp(-t) * bessel_j(1, 2 * t)) < 1e-10
+
+
+def test_charfn_exact_column_decodes_box_sites(tmp_path):
+    # on an 8x8 torus site 9 is (1, 1) with axis 0 fastest: amplitude (i J_1)^2
+    rc = main(["charfn", "--model", "lattice", "--dim", "2", "--size", "8",
+               "--samples", "2", "--lambda", "1", "--t-grid", "0:2:0.5",
+               "--psi-offset", "9", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "charfn_lattice.csv")
+    from cauchydos.free_models import bessel_j
+    for r in rows:
+        t = float(r[0])
+        assert abs(float(r[4]) + math.exp(-t) * bessel_j(1, 2 * t) ** 2) < 1e-12
+        assert abs(float(r[5])) < 1e-12
+
+
+def test_malformed_thread_count_is_usage_error(tmp_path):
+    proc = run_cli(["sample", "--model", "lattice", "--size", "16", "--samples", "2",
+                    "--lambda", "1", "--broaden", "0.5", "--grid", "-1:1:0.5"],
+                   tmp_path, env_extra={"CAUCHYDOS_THREADS": "abc"})
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "CAUCHYDOS_THREADS" in proc.stderr
 
 
 def test_charfn_rejects_other_models(tmp_path):

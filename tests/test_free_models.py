@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j0, jv
 
 from cauchydos.errors import OutsideStripError
 from cauchydos.free_models import (
@@ -15,13 +16,16 @@ from cauchydos.free_models import (
     bethe_dos_smoothed,
     continuum_free_ids,
     continuum_ids_smoothed,
+    exact_smoothed,
     kesten_mckay_density,
+    lattice_box_charfn,
     lattice_dos_curve,
     lattice_dos_smoothed,
     lattice_free_charfn,
     lattice_offdiag_charfn,
     truncated_tree_mean_stieltjes,
     truncated_tree_root_stieltjes,
+    _lattice_time_integral,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid
 
@@ -306,3 +310,123 @@ def test_continuum_ids_smoothed_limits():
     vals = [continuum_ids_smoothed(m, CauchyKernel(0.3), e) for e in (-1.0, -3.0, -8.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Independent quadrature oracles for every closed form and for the shared-node
+# time integral. Each integrates the defining convolution directly with
+# adaptive quadrature instead of the closed forms or the shared-node rule.
+# ---------------------------------------------------------------------------
+
+ORACLE_TOL = 1e-9
+QUAD_ABS_TOL = 1e-10
+
+
+def lattice_quad(d, lam, e):
+    """(1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt, tail below 1e-14."""
+    tmax = -math.log(1e-14) / lam
+    val, _ = quad(lambda t: math.exp(-lam * t) * math.cos(e * t) * j0(2.0 * t) ** d,
+                  0.0, tmax, epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=400)
+    return val / math.pi
+
+
+def bethe_quad(K, lam, e):
+    """Kesten-McKay law against the Cauchy kernel; x = 2 sqrt(K) sin(theta)
+    removes the square-root band edges."""
+    r = 2.0 * math.sqrt(K)
+
+    def integrand(theta):
+        x = r * math.sin(theta)
+        co = r * math.cos(theta)
+        rho_dx = (K + 1) * co * co / (2.0 * math.pi * ((K + 1) ** 2 - x * x))
+        return rho_dx * (lam / math.pi) / (lam * lam + (e - x) ** 2)
+
+    # for small lam the kernel is a narrow spike at sin(theta) = E/r
+    points = [math.asin(e / r)] if abs(e) < r else None
+    val, _ = quad(integrand, -math.pi / 2, math.pi / 2, points=points,
+                  epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=300)
+    return val
+
+
+def continuum_quad(lam, e):
+    """Smoothed free IDS: E' = E - lam tan(theta) maps the heavy-tailed
+    convolution to (1/pi) int N0(E - lam tan theta) d(theta), split at the
+    square-root kink."""
+
+    def integrand(theta):
+        arg = e - lam * math.tan(theta)
+        return math.sqrt(arg) / math.pi if arg > 0 else 0.0
+
+    kink = math.atan2(e, lam)
+    points = [kink] if -math.pi / 2 < kink < math.pi / 2 else None
+    val, _ = quad(integrand, -math.pi / 2, math.pi / 2, points=points,
+                  epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
+    return val / math.pi
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_bethe_closed_form_matches_quadrature(K, lam):
+    b, k = BetheFreeModel(K), CauchyKernel(lam)
+    grid = EnergyGrid(-4.0, 4.0, 0.1)
+    oracle = np.array([bethe_quad(K, lam, e) for e in grid.points])
+    assert np.max(np.abs(bethe_dos_curve(b, k, grid).values - oracle)) <= ORACLE_TOL
+    scalar = np.array([bethe_dos_smoothed(b, k, e) for e in grid.points])
+    assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_continuum_closed_form_matches_quadrature(lam):
+    m, k = ContinuumFreeModel(), CauchyKernel(lam)
+    e = EnergyGrid(-1.0, 4.0, 0.25).points
+    oracle = np.array([continuum_quad(lam, x) for x in e])
+    assert np.max(np.abs(exact_smoothed(m, k, e) - oracle)) <= ORACLE_TOL
+    scalar = np.array([continuum_ids_smoothed(m, k, x) for x in e])
+    assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_lattice_dos_matches_time_domain_quadrature(d, lam):
+    m, k = LatticeFreeModel(d), CauchyKernel(lam)
+    grid = EnergyGrid(-5.0, 5.0, 0.5)
+    oracle = np.array([lattice_quad(d, lam, e) for e in grid.points])
+    assert np.max(np.abs(lattice_dos_curve(m, k, grid).values - oracle)) <= ORACLE_TOL
+    scalar = np.array([lattice_dos_smoothed(m, k, e) for e in grid.points])
+    assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_shared_node_integral_matches_chain_closed_form(lam):
+    # the d >= 2 integrator run at d = 1, where the arcsine closed form is exact
+    m, k = LatticeFreeModel(1), CauchyKernel(lam)
+    e = EnergyGrid(-5.0, 5.0, 0.1).points
+    for z in (e, e[::5] + 0.25j * lam, e[::5] + 0.5j * lam, e[::5] - 0.5j * lam):
+        dev = np.abs(_lattice_time_integral(1, lam, z) - exact_smoothed(m, k, z))
+        assert np.max(dev) <= ORACLE_TOL
+
+
+def test_exact_smoothed_outside_strip_raises_for_every_model():
+    k = CauchyKernel(0.5)
+    for model in (LatticeFreeModel(1), LatticeFreeModel(2), BetheFreeModel(3),
+                  ContinuumFreeModel()):
+        with pytest.raises(OutsideStripError):
+            exact_smoothed(model, k, np.array([0.1 + 0.2j, 0.3 + 0.5j]))
+        assert isinstance(exact_smoothed(model, k, 0.3 + 0.2j), complex)
+        assert isinstance(exact_smoothed(model, k, 0.3), float)
+
+
+def test_lattice_box_charfn_uses_nearest_periodic_image():
+    t = np.array([0.0, 0.7, 1.9])
+    k = CauchyKernel(1.0)
+    decay = np.exp(-t)
+    # d = 1, offset 63 on a 64-ring is the neighbour at -1
+    ring = lattice_box_charfn(LatticeFreeModel(1), k, 64, 0, 63, t)
+    assert np.allclose(ring, decay * 1j * jv(1, 2 * t), atol=1e-14)
+    # d = 2, side 8: site 9 is (1, 1) with axis 0 fastest; site 7 is (-1, 0)
+    assert np.allclose(lattice_box_charfn(LatticeFreeModel(2), k, 8, 0, 9, t),
+                       -decay * jv(1, 2 * t) ** 2, atol=1e-14)
+    assert np.allclose(lattice_box_charfn(LatticeFreeModel(2), k, 8, 9, 2, t),
+                       -decay * jv(1, 2 * t) ** 2, atol=1e-14)
+    assert np.allclose(lattice_box_charfn(LatticeFreeModel(2), k, 8, 0, 7, t),
+                       decay * 1j * jv(1, 2 * t) * j0(2 * t), atol=1e-14)

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from cauchydos.spectra import (
     local_spectral_measure,
 )
 
-from conftest import random_sparse_symmetric
+from conftest import child_env, random_sparse_symmetric
 
 K1 = CauchyKernel(1.0)
 SWAP = SymmetricOperator(2, [0], [1], [1.0])
@@ -84,6 +87,27 @@ def test_eig_cap():
         eig_sym(op, cap=10)
     with pytest.raises(CapExceededError):
         eigvals_sym(op, cap=10)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeBoxSpec(1, 1), LatticeBoxSpec(1, 2), LatticeBoxSpec(1, 3), LatticeBoxSpec(1, 301),
+    LatticeBoxSpec(1, 300, "dirichlet"), BumpFamily(25, 0.1),
+], ids=repr)
+def test_eigvals_sym_band_route_matches_dense(spec):
+    # chains and rings take the band solver; it must agree with the dense one
+    sample = draw_sample(CauchyKernel(0.5), spec.n_sites if isinstance(spec, LatticeBoxSpec)
+                         else spec.length, 7, 0)
+    op = build_operator(spec, sample)
+    dense = np.linalg.eigvalsh(op.to_dense())
+    band = eigvals_sym(op)
+    assert band.shape == dense.shape
+    assert np.all(np.diff(band) >= 0)
+    assert np.max(np.abs(band - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_eigvals_sym_general_sparse_stays_dense():
+    op = random_sparse_symmetric(60, 5)
+    assert np.array_equal(eigvals_sym(op), np.linalg.eigvalsh(op.to_dense()))
 
 
 def test_local_measure_diagonal_sums_to_one():
@@ -363,3 +387,38 @@ def test_sample_failure_is_annotated():
         dos_mc(spec, K1, grid, 2, -3, 0.1)
     with pytest.raises(CapExceededError):
         dos_mc(spec, K1, grid, 2, 0, 0.1, cap=15)
+
+
+def test_solver_error_digest_is_the_same_in_every_process():
+    # str hashes are salted per process; the digest must not be
+    script = textwrap.dedent("""
+        import numpy as np
+        from cauchydos import spectra
+        from cauchydos.ensemble import LatticeBoxSpec, build_lattice, draw_sample
+        from cauchydos.errors import SolverError
+        from cauchydos.measures import CauchyKernel
+
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        np.linalg.eigh = np.linalg.eigvalsh = scipy.linalg.eigvals_banded = fail
+        for spec in (LatticeBoxSpec(2, 4), LatticeBoxSpec(1, 16)):
+            op = build_lattice(spec, draw_sample(CauchyKernel(1.0), spec.n_sites, 3, 0))
+            for solve in (spectra.eig_sym, spectra.eigvals_sym):
+                try:
+                    solve(op)
+                except SolverError as exc:
+                    print(exc)
+    """)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = child_env()
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("eigensolver failed to converge") == 4
+    assert outputs[0] == outputs[1]
