@@ -188,8 +188,9 @@ def check_bethe_dos(K: int = 2, lam: float = 1.0, eta: float = 0.1, depth: int =
     """Truncated tree: the sampled broadened DOS must match the smeared
     Kesten-McKay law once the exactly known finite-depth bias is subtracted.
 
-    The bias is the difference between the depth-truncated two-pass
-    continued-fraction curve and the infinite-tree curve, both at lam + eta.
+    The bias is the difference between the depth-truncated free tree's
+    vertex-averaged curve (one pivot sweep) and the infinite-tree curve, both
+    at lam + eta.
     """
     t0 = time.perf_counter()
     spec = TreeSpec(K, depth)

@@ -111,18 +111,13 @@ def _cmd_sample(args) -> int:
     spec = _model_spec_from_args(args)
     if args.broaden <= 0:
         return _usage_error("--broaden must be > 0")
+    if args.compare_exact and args.model == "continuum":
+        return _usage_error("--compare-exact supports lattice and bethe models")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        est = dos_mc(spec, kernel, grid, args.samples, args.seed, args.broaden,
-                     estimator=args.estimator)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("advice: box exceeds the dense-solver cap; use the charfn subcommand "
-              "for large volumes", file=sys.stderr)
-        return EXIT_CAP
-
+    est = dos_mc(spec, kernel, grid, args.samples, args.seed, args.broaden,
+                 estimator=args.estimator)
     if args.samples == 1:
         print("warning: one sample only, standard errors are undefined", file=sys.stderr)
 
@@ -164,12 +159,10 @@ def _exact_reference(args, spec, grid: EnergyGrid) -> np.ndarray:
     total = CauchyKernel(args.lam + args.broaden)
     if args.model == "lattice":
         return fm.exact_smoothed(fm.LatticeFreeModel(args.dim), total, grid.points)
-    if args.model == "bethe":
-        z = grid.points + 1j * total.lam
-        if args.estimator == "trace":
-            return fm.truncated_tree_mean_stieltjes(args.k, args.depth, z).imag / np.pi
-        return fm.truncated_tree_root_stieltjes(args.k, args.depth, z).imag / np.pi
-    raise SystemExit(_usage_error("--compare-exact supports lattice and bethe models"))
+    z = grid.points + 1j * total.lam
+    if args.estimator == "trace":
+        return fm.truncated_tree_mean_stieltjes(args.k, args.depth, z).imag / np.pi
+    return fm.truncated_tree_root_stieltjes(args.k, args.depth, z).imag / np.pi
 
 
 def _cmd_charfn(args) -> int:
@@ -180,6 +173,8 @@ def _cmd_charfn(args) -> int:
         return _usage_error("charfn supports --model lattice (the free amplitude "
                             "has a closed form only there)")
     spec = LatticeBoxSpec(args.dim, args.size, "periodic")
+    if not 0 <= args.phi_site < spec.n_sites:
+        return _usage_error(f"--phi-site must lie in [0, {spec.n_sites}), got {args.phi_site}")
     est = charfn_mc(spec, kernel, grid, args.samples, args.seed,
                     phi_site=args.phi_site, psi_site=args.psi_offset % spec.n_sites)
     times = grid.points

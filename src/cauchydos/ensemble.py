@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CauchyKernel
+from .measures import CauchyKernel, cauchy_sample
 
 __all__ = [
     "BumpFamily",
@@ -47,9 +47,9 @@ def draw_sample(kernel: CauchyKernel | None, count: int, master_seed: int,
     """Draw ``count`` Cauchy couplings from the stream (master_seed, sample_index).
 
     Uniforms are taken as (k + 1/2) / 2^53 with k a 53-bit Philox integer, so
-    they lie strictly inside (0, 1); the inverse-CDF map lam*tan(pi*(u-1/2))
-    then matches cauchy_sample elementwise. ``kernel=None`` yields the
-    disorder-off sample (all couplings zero) under the same provenance.
+    they lie strictly inside (0, 1); cauchy_sample maps them to couplings.
+    ``kernel=None`` yields the disorder-off sample (all couplings zero) under
+    the same provenance.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -61,8 +61,7 @@ def draw_sample(kernel: CauchyKernel | None, count: int, master_seed: int,
     gen = np.random.Generator(bitgen)
     k = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
     u = (k.astype(float) + 0.5) / float(1 << 53)
-    omegas = kernel.lam * np.tan(np.pi * (u - 0.5))
-    return DisorderSample(omegas, master_seed, sample_index)
+    return DisorderSample(cauchy_sample(kernel, u), master_seed, sample_index)
 
 
 @dataclass(frozen=True)
@@ -97,15 +96,11 @@ class TreeSpec:
 
     @property
     def n_vertices(self) -> int:
-        if self.depth == 0:
-            return 1
         return 1 + (self.K + 1) * (self.K ** self.depth - 1) // (self.K - 1)
 
 
 def tree_level_sizes(spec: TreeSpec) -> list[int]:
     """Vertices per BFS level: 1, K+1, (K+1)K, ..."""
-    if spec.depth == 0:
-        return [1]
     return [1] + [(spec.K + 1) * spec.K ** (l - 1) for l in range(1, spec.depth + 1)]
 
 

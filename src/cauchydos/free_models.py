@@ -354,27 +354,21 @@ def truncated_tree_root_stieltjes(K: int, depth: int, z):
 def truncated_tree_mean_stieltjes(K: int, depth: int, z):
     """Vertex-averaged Stieltjes transform of the depth-truncated tree.
 
-    Uses the two-pass recursion: downward subtree transforms s_h as above, then
-    uplink transforms r_l toward the leaves; every vertex of a level shares one
-    diagonal value, so the average is an O(depth) scalar computation.
+    The leaf-to-root LDL^T sweep of H - z with every vertex of a level sharing
+    one pivot d_l and its z-derivative d'_l: leaves d = -z, d' = -1; a vertex
+    with c children d = -z - c/d_child, d' = -1 + c d'_child/d_child^2. The
+    trace is the log-determinant derivative -sum_l count_l d'_l/d_l.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
         raise ValueError("truncated_tree_mean_stieltjes requires Im z > 0")
-    if depth == 0:
-        return -1.0 / z
-    s = [-1.0 / z]  # s[h]: subtree of height h
-    for _ in range(1, depth):
-        s.append(1.0 / (-z - K * s[-1]))
-    counts = [1] + [(K + 1) * K ** (l - 1) for l in range(1, depth + 1)]
-    total = counts[0] / (-z - (K + 1) * s[depth - 1])
-    r = 1.0 / (-z - K * s[depth - 1])  # uplink seen from a level-1 vertex
-    for level in range(1, depth):
-        below = s[depth - level - 1]
-        total = total + counts[level] / (-z - K * below - r)
-        r = 1.0 / (-z - (K - 1) * below - r)
-    total = total + counts[depth] / (-z - r)
-    return total / sum(counts)
+    d, slope, trace = -z, -1.0, 0.0
+    for level in range(depth, 0, -1):
+        children = K + 1 if level == 1 else K
+        trace = trace - (K + 1) * K ** (level - 1) * slope / d
+        d, slope = -z - children / d, -1.0 + children * slope / d**2
+    trace = trace - slope / d
+    return trace / (1 + (K + 1) * (K ** depth - 1) // (K - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Eigensolution, local spectral measures, time evolution, and disorder averaging.
 
 Two independent experimental routes are provided: an energy-domain one built
-on dense eigendecomposition (or, for large trees, on the exact leaf-to-root
-Green recursion), and a time-domain one built on Chebyshev expansion of
+on eigendecomposition (on trees, on a leaf-to-root sweep over the LDL^T
+pivots of H - z), and a time-domain one built on Chebyshev expansion of
 exp(itH). A bug in either is caught by disagreement with the exact curves.
 """
 
@@ -284,45 +284,34 @@ def _operator_dim(model_spec) -> int:
 
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
                           mode: str) -> np.ndarray:
-    """Broadened local density on the truncated tree by leaf-to-root recursion.
+    """Broadened local density on the truncated tree from the LDL^T pivots of H - z.
 
-    mode="site" returns (1/pi) Im G_00 (root); mode="trace" the vertex average.
-    Identical to the dense-eigendecomposition route by the Poisson-kernel
-    identity, but O(N) per energy, so depth 14 stays tractable.
+    One leaf-to-root sweep gives the pivots d_v = omega_v - z - sum_c 1/d_c and
+    d'_v = -1 + sum_c d'_c/d_c^2 over the children c of v. mode="site" returns
+    (1/pi) Im G_00 = (1/pi) Im 1/d_root; mode="trace" the vertex average of
+    (1/pi) Im G_vv, as Tr G = -sum_v d'_v/d_v. Im z > 0 keeps |d_v| >= Im z.
     """
-    sizes = tree_level_sizes(spec)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    depth = spec.depth
-    K = spec.K
-    if depth == 0:
-        g = 1.0 / (omegas[0] - z)
-        return g.imag / np.pi
-    down = [None] * (depth + 1)
-    g = 1.0 / (omegas[offsets[depth]:offsets[depth + 1]][:, None] - z[None, :])
-    down[depth] = g
-    for level in range(depth - 1, 0, -1):
-        om = omegas[offsets[level]:offsets[level + 1]]
-        child_sum = down[level + 1].reshape(sizes[level], K, -1).sum(axis=1)
-        down[level] = 1.0 / (om[:, None] - z[None, :] - child_sum)
-    root_sum = down[1].sum(axis=0)
-    g_root = 1.0 / (omegas[0] - z - root_sum)
-    if mode == "site":
+    trace = mode == "trace"
+    end = omegas.size
+    pivots = slopes = None
+    total = 0.0
+    for size in reversed(tree_level_sizes(spec)):
+        d = omegas[end - size:end, None] - z
+        s = np.full_like(d, -1.0) if trace else None
+        end -= size
+        if pivots is not None:
+            # each vertex's children are one contiguous block of the level below
+            inv = 1.0 / pivots.reshape(size, -1, z.size)
+            d -= inv.sum(axis=1)
+            if trace:
+                w = slopes.reshape(size, -1, z.size) * inv
+                total = total + w.sum(axis=(0, 1))
+                s += (w * inv).sum(axis=1)
+        pivots, slopes = d, s
+    g_root = 1.0 / pivots[0]
+    if not trace:
         return g_root.imag / np.pi
-    total = g_root.copy()
-    up = 1.0 / (omegas[0] - z[None, :] - (root_sum[None, :] - down[1]))
-    for level in range(1, depth):
-        om = omegas[offsets[level]:offsets[level + 1]]
-        children = down[level + 1].reshape(sizes[level], K, -1)
-        child_sum = children.sum(axis=1)
-        g_level = 1.0 / (om[:, None] - z[None, :] - child_sum - up)
-        total += g_level.sum(axis=0)
-        up = (1.0 / (om[:, None, None] - z[None, None, :]
-                     - (child_sum[:, None, :] - children) - up[:, None, :]))
-        up = up.reshape(sizes[level + 1], -1)
-    om = omegas[offsets[depth]:offsets[depth + 1]]
-    g_leaf = 1.0 / (om[:, None] - z[None, :] - up)
-    total += g_leaf.sum(axis=0)
-    return total.imag / np.pi / spec.n_vertices
+    return -(total + slopes[0] * g_root).imag / np.pi / omegas.size
 
 
 _TREE_CHUNK = 48
@@ -337,8 +326,9 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     ``broaden``; the expectation then equals the exact free curve smoothed at
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
-    "site" uses the single-site measure at the origin/root. Trees larger than
-    the dense cap are handled by the exact Green recursion instead.
+    "site" uses the single-site measure at the origin/root. Trees of any depth
+    take the leaf-to-root pivot sweep, so ``cap`` bounds lattices and
+    continuum meshes only.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -350,14 +340,14 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     energies = grid.points
     n_sites = site_count(model_spec)
     dim = _operator_dim(model_spec)
-    tree_route = isinstance(model_spec, TreeSpec) and dim > cap
+    tree = isinstance(model_spec, TreeSpec)
     smear = CauchyKernel(broaden)
-    if dim > cap and not tree_route:
+    if dim > cap and not tree:
         raise CapExceededError(
             f"dense eigensolve of n={dim} exceeds cap {cap}; use the charfn route"
         )
 
-    if tree_route:
+    if tree:
         z = energies + 1j * broaden
 
         def per_sample(i):

@@ -131,6 +131,18 @@ def test_sample_continuum_runs_and_rejects_compare_exact(tmp_path):
     assert proc.returncode == 2
 
 
+def test_sample_compare_exact_continuum_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("dos_mc ran before the usage check")
+
+    monkeypatch.setattr("cauchydos.cli.dos_mc", no_sampling)
+    rc = main(["sample", "--model", "continuum", "--size", "20", "--h", "0.1",
+               "--samples", "3", "--lambda", "0.5", "--broaden", "0.3",
+               "--grid", "-2:8:0.5", "--compare-exact", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_tree_compare_exact(tmp_path):
     rc = main(["sample", "--model", "bethe", "--k", "2", "--depth", "6",
                "--samples", "5", "--lambda", "1", "--broaden", "0.2",
@@ -190,6 +202,18 @@ def test_malformed_thread_count_is_usage_error(tmp_path):
                    tmp_path, env_extra={"CAUCHYDOS_THREADS": "abc"})
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "CAUCHYDOS_THREADS" in proc.stderr
+
+
+def test_charfn_out_of_range_phi_site_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("charfn_mc ran before the usage check")
+
+    monkeypatch.setattr("cauchydos.cli.charfn_mc", no_sampling)
+    for site in ("99", "-1"):
+        rc = main(["charfn", "--model", "lattice", "--size", "8", "--samples", "2",
+                   "--lambda", "1", "--phi-site", site, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_charfn_rejects_other_models(tmp_path):

@@ -18,7 +18,7 @@ from cauchydos.ensemble import (
 )
 from cauchydos.errors import CapExceededError, EnclosureError
 from cauchydos.free_models import lattice_dos_smoothed, LatticeFreeModel
-from cauchydos.measures import CauchyKernel, EnergyGrid, smear_spectrum
+from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, smear_spectrum
 from cauchydos.spectra import (
     McEstimate,
     _tree_green_diagonals,
@@ -314,16 +314,24 @@ def test_dos_mc_validation():
 
 
 def test_dos_mc_tree_recursion_equals_dense_route():
-    # depth 5 fits under the dense cap; force the recursion with a tiny cap
-    spec = TreeSpec(2, 5)
+    # the pivot sweep against a dense eigendecomposition of the same samples:
+    # all eigenvalues broadened (trace) and the root's measure smeared (site)
     grid = EnergyGrid(-2.5, 2.5, 0.5)
     eta = 0.35
-    dense = dos_mc(spec, K1, grid, 3, 9, eta, estimator="trace")
-    recursive = dos_mc(spec, K1, grid, 3, 9, eta, estimator="trace", cap=10)
-    assert np.max(np.abs(dense.mean - recursive.mean)) < 1e-12
-    dense_r = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site")
-    recursive_r = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site", cap=10)
-    assert np.max(np.abs(dense_r.mean - recursive_r.mean)) < 1e-12
+    smear = CauchyKernel(eta)
+    for spec in (TreeSpec(2, 5), TreeSpec(3, 3)):
+        trace_curves, site_curves = [], []
+        for i in range(3):
+            eig = eig_sym(build_tree(spec, draw_sample(K1, spec.n_vertices, 9, i)))
+            poisson = cauchy_density(smear, grid.points[:, None] - eig.values[None, :])
+            trace_curves.append(poisson.sum(axis=1) / eig.values.size)
+            site_curves.append(smear_spectrum(local_spectral_measure(eig, 0, 0), smear, grid).values)
+        trace = dos_mc(spec, K1, grid, 3, 9, eta, estimator="trace")
+        assert np.max(np.abs(trace.mean - np.mean(trace_curves, axis=0))) < 1e-12
+        site = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site")
+        assert np.max(np.abs(site.mean - np.mean(site_curves, axis=0))) < 1e-12
+        # the dense cap does not apply to trees
+        assert np.array_equal(dos_mc(spec, K1, grid, 3, 9, eta, cap=10).mean, trace.mean)
 
 
 def test_dos_mc_depth_zero_tree_is_pure_cauchy():
@@ -347,12 +355,12 @@ def test_tree_green_depth_zero_single_site():
 
 
 def test_dos_mc_deterministic_across_runs_and_workers():
-    spec = LatticeBoxSpec(1, 48, "periodic")
     grid = EnergyGrid(-2.0, 2.0, 0.25)
-    a = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=1)
-    b = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=2)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.std_error, b.std_error)
+    for spec in (LatticeBoxSpec(1, 48, "periodic"), TreeSpec(2, 6)):
+        a = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=1)
+        b = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=2)
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.std_error, b.std_error)
 
 
 def test_ids_mc_free_single_sample_matches_direct_count():
