@@ -20,8 +20,10 @@ time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
     p(E) = (1/pi) * int_0^inf exp(-lam t) cos(E t) J_0(2t)^d dt,
 
-on shared Gauss-Legendre nodes. Scalar Bessel values come from
-``scipy.special``; the Miller sweep ``bessel_j_sequence`` gives the whole
+evaluated as a Laplace transform at lam -+ iE on shared Gauss-Legendre
+nodes: blocks of panels factor exp(-zeta t) into a block phase times an
+in-block factor, so the node sum is one matrix product. Scalar Bessel values
+come from ``scipy.special``; the Miller sweep ``bessel_j_sequence`` gives the whole
 coefficient sequence the Chebyshev propagator needs.
 """
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import j0, jv
@@ -61,6 +62,8 @@ __all__ = [
 TRUNCATION_EPS = 1e-14
 # kernel-matrix entries per block of energies in the time-domain integral
 _BLOCK = 1 << 20
+# Gauss-Legendre panels per block of time nodes in the time-domain integral
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -140,52 +143,46 @@ def _tree_stieltjes(K: int, z):
     return 2.0 * K / ((1 - K) * z - (K + 1) * (np.sqrt(z - r) * np.sqrt(z + r)))
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int = 16):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def _time_panels(tmax: float, max_freq: float):
-    """Shared Gauss-Legendre nodes on [0, tmax], panel width tied to the fastest oscillation."""
-    width = min(0.5, 8.0 / max(max_freq, 1.0))
-    n_panels = int(math.ceil(tmax / width))
-    edges = np.linspace(0.0, tmax, n_panels + 1)
-    nodes, weights = _gl_nodes()
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return t, w
-
-
 def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarray:
     """(1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt for real or complex E.
 
     T follows from the strip margin lam - max|Im E| so that the discarded tail
-    is below 1e-14. The t-nodes and the J_0(2t)^d samples on them are shared
-    by every energy, so the cost is one Bessel sweep plus a cosine contraction.
+    is below 1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider
+    than the fastest oscillation allows, grouped in blocks of ``_GROUP``
+    panels, so every node is t = tau_b + s_k. The integral is the Laplace sum
+    L(zeta) = sum_t w_t J_0(2t)^d exp(-zeta t) as p = (L(lam - iE) + L(lam + iE))
+    / (2 pi), i.e. Re L(lam - iE) / pi for real E. As exp(-zeta t) =
+    exp(-zeta tau_b) exp(-zeta s_k), the node sum is one matrix product with
+    exp(-s zeta) and a contraction with exp(-tau zeta): a few hundred
+    exponentials per energy. Re zeta > 0 in the strip and tau, s >= 0, so no
+    factor exceeds 1.
     """
     e = np.asarray(energies)
     margin = lam - np.max(np.abs(e.imag), initial=0.0)
-    t, w = _time_panels(-math.log(TRUNCATION_EPS) / margin,
-                        np.max(np.abs(e.real), initial=0.0) + 2.0 * d)
-    if np.iscomplexobj(e):
-        f = j0(2.0 * t) ** d * w
-
-        def kernel(x):
-            # cos(E t) alone overflows near the strip edge; pair its two
-            # exponentials with the decay exp(-lam t) before evaluating them
-            return 0.5 * (np.exp(1j * x - lam * t) + np.exp(-1j * x - lam * t))
-    else:
-        f = np.exp(-lam * t) * j0(2.0 * t) ** d * w
-        kernel = np.cos
-    flat = e.ravel()
-    out = np.empty(flat.shape, dtype=e.dtype)
-    rows = max(1, _BLOCK // t.size)
-    for start in range(0, flat.size, rows):
-        out[start:start + rows] = kernel(np.multiply.outer(flat[start:start + rows], t)) @ f
-    return out.reshape(e.shape) / np.pi
+    tmax = -math.log(TRUNCATION_EPS) / margin
+    max_freq = np.max(np.abs(e.real), initial=0.0) + 2.0 * d
+    n_panels = int(math.ceil(tmax / min(0.5, 8.0 / max(max_freq, 1.0))))
+    n_blocks = -(-n_panels // _GROUP)
+    h = tmax / n_panels
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    s = (h * (np.arange(_GROUP)[:, None] + 0.5 * (1.0 + nodes))).ravel()
+    tau = h * _GROUP * np.arange(n_blocks)
+    # panels past tmax only pad the last block and carry weight 0
+    live = (np.arange(n_blocks * _GROUP) < n_panels).reshape(n_blocks, _GROUP, 1)
+    w = (0.5 * h * weights * live).reshape(n_blocks, -1)
+    g = j0(2.0 * (tau[:, None] + s)) ** d * w
+    flat, real = e.ravel(), not np.iscomplexobj(e)
+    zeta = lam - 1j * flat if real else np.concatenate((lam - 1j * flat, lam + 1j * flat))
+    laplace = np.empty(zeta.size, dtype=complex)
+    cols = max(1, _BLOCK // (n_blocks + s.size))
+    for start in range(0, zeta.size, cols):
+        z = zeta[start:start + cols]
+        # real g times complex phases as one real product on (re, im) pairs
+        inner = (g @ np.exp(-np.multiply.outer(s, z)).view(float)).view(complex)
+        phase = np.exp(-np.multiply.outer(tau, z))
+        laplace[start:start + cols] = np.sum(inner * phase, axis=0)
+    p = laplace.real if real else 0.5 * (laplace[:flat.size] + laplace[flat.size:])
+    return p.reshape(e.shape) / np.pi
 
 
 def _curve(model, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:

@@ -295,7 +295,9 @@ def grid_convolve(density: GridDensity, kernel: CauchyKernel) -> GridDensity:
     if n > 1:
         v[0] *= 0.5
         v[-1] *= 0.5
-    full = np.convolve(v, kern) * density.step
-    values = full[n - 1 : 2 * n - 1]
+    # zero-padded FFT product; length >= 2n - 1 keeps wrap-around off the n entries kept
+    size = 1 << (2 * n - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(v, size) * np.fft.rfft(kern, size), size)
+    values = full[n - 1 : 2 * n - 1] * density.step
     return GridDensity(density.e_min, density.e_max, density.step, values, None,
                        dict(density.meta))

@@ -22,6 +22,15 @@ def test_semigroup_check_passes():
     assert report.thresholds["sup_dist"] == 1e-4
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_semigroup_check_passes_on_higher_dimensional_lattices(d):
+    # the lattice time integral and the grid convolution on a 12,001-point grid
+    report = check_semigroup(d=d)
+    assert report.passed
+    assert report.parameters["d"] == d
+    assert report.metrics["sup_dist"] <= 1e-4
+
+
 def test_semigroup_forced_failure():
     report = check_semigroup(threshold_override=0.0)
     assert not report.passed

@@ -25,6 +25,8 @@ from cauchydos.free_models import (
     lattice_offdiag_charfn,
     truncated_tree_mean_stieltjes,
     truncated_tree_root_stieltjes,
+    _BLOCK,
+    _GROUP,
     _lattice_time_integral,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid
@@ -322,6 +324,46 @@ ORACLE_TOL = 1e-9
 QUAD_ABS_TOL = 1e-10
 
 
+def cosine_contraction(d, lam, energies):
+    """The per-node route the factored integrator replaced: one cos(E t) per
+    (energy, node) pair on the same panels, nodes and weights."""
+    e = np.asarray(energies)
+    margin = lam - np.max(np.abs(e.imag), initial=0.0)
+    tmax = -math.log(1e-14) / margin
+    width = min(0.5, 8.0 / max(np.max(np.abs(e.real), initial=0.0) + 2.0 * d, 1.0))
+    edges = np.linspace(0.0, tmax, int(math.ceil(tmax / width)) + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    f = j0(2.0 * t) ** d * w
+    out = np.empty(e.shape, dtype=e.dtype)
+    for start in range(0, e.size, 256):
+        x = np.multiply.outer(e[start:start + 256], t)
+        if np.iscomplexobj(e):
+            # cos(E t) alone overflows near the strip edge: pair each of its
+            # exponentials with the decay exp(-lam t) before evaluating it
+            kernel = 0.5 * (np.exp(1j * x - lam * t) + np.exp(-1j * x - lam * t))
+        else:
+            kernel = np.cos(x) * np.exp(-lam * t)
+        out[start:start + 256] = kernel @ f
+    return out / np.pi
+
+
+def square_lattice_stieltjes(z):
+    """m(z) of Z^2, Im z > 0, as the chain's m averaged over the other axis:
+    (1/pi) int_0^pi G_1(z - 2 cos th) dth with G_1(w) = -1/(sqrt(w-2) sqrt(w+2))."""
+
+    def chain(th):
+        w = z - 2.0 * math.cos(th)
+        return -1.0 / (np.sqrt(w - 2.0) * np.sqrt(w + 2.0))
+
+    re, _ = quad(lambda th: chain(th).real, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12, limit=400)
+    im, _ = quad(lambda th: chain(th).imag, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12, limit=400)
+    return complex(re, im) / math.pi
+
+
 def lattice_quad(d, lam, e):
     """(1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt, tail below 1e-14."""
     tmax = -math.log(1e-14) / lam
@@ -386,7 +428,7 @@ def test_continuum_closed_form_matches_quadrature(lam):
 
 
 @pytest.mark.parametrize("lam", [0.05, 1.0])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_lattice_dos_matches_time_domain_quadrature(d, lam):
     m, k = LatticeFreeModel(d), CauchyKernel(lam)
     grid = EnergyGrid(-5.0, 5.0, 0.5)
@@ -404,6 +446,37 @@ def test_shared_node_integral_matches_chain_closed_form(lam):
     for z in (e, e[::5] + 0.25j * lam, e[::5] + 0.5j * lam, e[::5] - 0.5j * lam):
         dev = np.abs(_lattice_time_integral(1, lam, z) - exact_smoothed(m, k, z))
         assert np.max(dev) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_factored_integral_matches_cosine_contraction(d, lam):
+    e = EnergyGrid(-8.0, 8.0, 0.1).points
+    for z in (e, e[::8] + 0.25j * lam, e[::8] + 0.5j * lam, e[::8] - 0.5j * lam,
+              e[::8] + 0.9j * lam):
+        fast = _lattice_time_integral(d, lam, z)
+        assert fast.dtype == z.dtype
+        assert np.max(np.abs(fast - cosine_contraction(d, lam, z))) <= 1e-13
+
+
+def test_factored_integral_spans_several_energy_blocks():
+    # every energy needs more than 16 * _GROUP matrix entries, so this grid
+    # cannot fit in one _BLOCK and the energy loop runs at least twice
+    e = EnergyGrid(-10.0, 10.0, 0.002).points
+    assert e.size * 16 * _GROUP > _BLOCK
+    dev = np.abs(_lattice_time_integral(2, 1.0, e) - cosine_contraction(2, 1.0, e))
+    assert np.max(dev) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_square_lattice_complex_energies_match_stieltjes_quadrature(lam):
+    # p(E) = (m(E + i lam) - conj m(conj(E - i lam))) / (2 pi i) inside the strip
+    m, k = LatticeFreeModel(2), CauchyKernel(lam)
+    z = np.array([0.0, 0.7, -1.9, 3.1, 4.6]) + lam * np.array([0.25, 0.5, -0.5, 0.9, 0.5]) * 1j
+    oracle = np.array([(square_lattice_stieltjes(x + 1j * lam)
+                        - np.conj(square_lattice_stieltjes(np.conj(x - 1j * lam)))) / (2j * math.pi)
+                       for x in z])
+    assert np.max(np.abs(exact_smoothed(m, k, z) - oracle)) <= ORACLE_TOL
 
 
 def test_exact_smoothed_outside_strip_raises_for_every_model():
