@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import free_models as fm
-from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec, build_continuum
+from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec
 from .errors import OutsideStripError
 from .measures import CauchyKernel, EnergyGrid, grid_convolve
-from .spectra import charfn_mc, dos_mc, eigvals_sym, empirical_ids, ids_mc
+from .spectra import charfn_mc, dos_mc, ids_mc
 
 __all__ = [
     "CHECK_NAMES",
@@ -275,9 +275,8 @@ def check_continuum_ids(lam: float = 0.2, box: int = 200, h: float = 0.05,
     model = fm.ContinuumFreeModel()
     exact = fm.exact_smoothed(model, CauchyKernel(lam), e_points)
     sup = float(np.max(np.abs(est.mean - exact)))
-    free_vals = eigvals_sym(build_continuum(bumps, None))
     free_pts = np.arange(0.5, 4.0 + 1e-9, 0.05)
-    free_emp = empirical_ids(free_vals, float(box)).at(free_pts)
+    free_emp = ids_mc(bumps, None, free_pts, 1, seed).mean
     free_sup = float(np.max(np.abs(free_emp - fm.continuum_free_ids(model, free_pts))))
     metrics = {"sup_dist": sup, "free_sup_dist": free_sup}
     return _finish(

@@ -22,10 +22,8 @@ from . import free_models as fm
 from .checks import CHECK_NAMES, run_check
 from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec
 from .errors import CapExceededError
-from .measures import CauchyKernel, EnergyGrid, window_tail_mass
+from .measures import CauchyKernel, EnergyGrid, window_tail_mass, write_csv
 from .spectra import charfn_mc, dos_mc
-
-FMT = "%.12g"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,7 +32,7 @@ EXIT_CAP = 3
 
 
 def _write_manifest(out_dir: Path, stem: str, subcommand: str, parameters: dict,
-                    master_seed, outputs: list[str], wall_time: float) -> Path:
+                    master_seed, outputs: list[str], wall_time: float) -> None:
     manifest = {
         "artifact": "cauchydos",
         "version": __version__,
@@ -48,7 +46,17 @@ def _write_manifest(out_dir: Path, stem: str, subcommand: str, parameters: dict,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+def _emit(args, stem: str, columns: dict, parameters: dict, master_seed, t0: float) -> int:
+    """Write ``<stem>.csv`` and its manifest into ``--out`` and report the path."""
+    out_dir = Path(args.out)
+    csv_path = out_dir / f"{stem}.csv"
+    write_csv(csv_path, columns)
+    _write_manifest(out_dir, stem, args.subcommand, parameters, master_seed, [csv_path.name],
+                    time.perf_counter() - t0)
+    print(f"wrote {csv_path}")
+    return EXIT_OK
 
 
 def _parse_grid(text: str) -> EnergyGrid:
@@ -67,8 +75,6 @@ def _cmd_exact(args) -> int:
     t0 = time.perf_counter()
     grid = _parse_grid(args.grid)
     kernel = CauchyKernel(args.lam)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = {"model": args.model, "lambda": args.lam,
               "grid": [grid.e_min, grid.e_max, grid.step]}
 
@@ -84,16 +90,7 @@ def _cmd_exact(args) -> int:
     else:
         model, stem = fm.ContinuumFreeModel(), "exact_continuum"
     values = fm.exact_smoothed(model, kernel, grid.points)
-    csv_path = out_dir / f"{stem}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"energy,{column}\n")
-        for e, v in zip(grid.points, values):
-            fh.write(f"{FMT % e},{FMT % v}\n")
-
-    _write_manifest(out_dir, stem, "exact", params, None, [csv_path.name],
-                    time.perf_counter() - t0)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, stem, {"energy": grid.points, column: values}, params, None, t0)
 
 
 def _model_spec_from_args(args):
@@ -113,32 +110,17 @@ def _cmd_sample(args) -> int:
         return _usage_error("--broaden must be > 0")
     if args.compare_exact and args.model == "continuum":
         return _usage_error("--compare-exact supports lattice and bethe models")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     est = dos_mc(spec, kernel, grid, args.samples, args.seed, args.broaden,
                  estimator=args.estimator)
     if args.samples == 1:
         print("warning: one sample only, standard errors are undefined", file=sys.stderr)
 
-    stem = f"sample_{args.model}"
-    csv_path = out_dir / f"{stem}.csv"
+    columns = est.columns()
     if args.compare_exact:
-        exact = _exact_reference(args, spec, grid)
-        se = est.std_error
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            if se is None:
-                fh.write("x,mean,mean_im,n_samples,exact\n")
-                for x, m, ex in zip(est.x, est.mean, exact):
-                    fh.write(f"{FMT % x},{FMT % m},{FMT % 0.0},{est.n_samples},{FMT % ex}\n")
-            else:
-                fh.write("x,mean,mean_im,std_error,n_samples,exact,z\n")
-                for x, m, s, ex in zip(est.x, est.mean, se, exact):
-                    z = abs(m - ex) / max(s, 1e-15)
-                    fh.write(f"{FMT % x},{FMT % m},{FMT % 0.0},{FMT % s},"
-                             f"{est.n_samples},{FMT % ex},{FMT % z}\n")
-    else:
-        est.to_csv(csv_path)
+        exact = columns["exact"] = _exact_reference(args, grid)
+        if est.std_error is not None:
+            columns["z"] = np.abs(est.mean - exact) / np.maximum(est.std_error, 1e-15)
 
     params = {"model": args.model, "lambda": args.lam, "samples": args.samples,
               "broaden": args.broaden, "grid": [grid.e_min, grid.e_max, grid.step],
@@ -149,13 +131,10 @@ def _cmd_sample(args) -> int:
         params.update({"k": args.k, "depth": args.depth})
     else:
         params.update({"size": args.size, "h": args.h})
-    _write_manifest(out_dir, stem, "sample", params, args.seed, [csv_path.name],
-                    time.perf_counter() - t0)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, f"sample_{args.model}", columns, params, args.seed, t0)
 
 
-def _exact_reference(args, spec, grid: EnergyGrid) -> np.ndarray:
+def _exact_reference(args, grid: EnergyGrid) -> np.ndarray:
     total = CauchyKernel(args.lam + args.broaden)
     if args.model == "lattice":
         return fm.exact_smoothed(fm.LatticeFreeModel(args.dim), total, grid.points)
@@ -175,30 +154,20 @@ def _cmd_charfn(args) -> int:
     spec = LatticeBoxSpec(args.dim, args.size, "periodic")
     if not 0 <= args.phi_site < spec.n_sites:
         return _usage_error(f"--phi-site must lie in [0, {spec.n_sites}), got {args.phi_site}")
+    psi_site = args.psi_offset % spec.n_sites
     est = charfn_mc(spec, kernel, grid, args.samples, args.seed,
-                    phi_site=args.phi_site, psi_site=args.psi_offset % spec.n_sites)
+                    phi_site=args.phi_site, psi_site=psi_site)
     times = grid.points
     exact = fm.lattice_box_charfn(fm.LatticeFreeModel(args.dim), kernel, args.size,
-                                  args.phi_site, args.psi_offset % spec.n_sites, times)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = "charfn_lattice"
-    csv_path = out_dir / f"{stem}.csv"
+                                  args.phi_site, psi_site, times)
     se = est.std_error if est.std_error is not None else np.zeros_like(times)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,mean,mean_im,std_error,exact,exact_im\n")
-        for x, m, s, ex in zip(times, est.mean, se, exact):
-            fh.write(f"{FMT % x},{FMT % m.real},{FMT % m.imag},{FMT % s},"
-                     f"{FMT % ex.real},{FMT % ex.imag}\n")
+    columns = {"t": times, "mean": est.mean.real, "mean_im": est.mean.imag, "std_error": se,
+               "exact": exact.real, "exact_im": exact.imag}
     params = {"model": args.model, "dim": args.dim, "size": args.size,
               "lambda": args.lam, "samples": args.samples,
               "t_grid": [grid.e_min, grid.e_max, grid.step],
               "phi_site": args.phi_site, "psi_offset": args.psi_offset}
-    _write_manifest(out_dir, stem, "charfn", params, args.seed, [csv_path.name],
-                    time.perf_counter() - t0)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    return _emit(args, "charfn_lattice", columns, params, args.seed, t0)
 
 
 def _cmd_check(args) -> int:
@@ -208,7 +177,6 @@ def _cmd_check(args) -> int:
         if name not in CHECK_NAMES:
             return _usage_error(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}, all")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_passed = True
     written = []
     for name in names:
@@ -300,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"--out {args.out!r} is not a usable directory: {exc}")
     try:
         return args.func(args)
     except CapExceededError as exc:

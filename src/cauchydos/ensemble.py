@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CauchyKernel, cauchy_sample
+from .measures import CSV_FLOAT, CauchyKernel, cauchy_sample
 
 __all__ = [
     "BumpFamily",
@@ -117,6 +117,8 @@ class BumpFamily:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be >= 1")
+        if not self.h > 0:
+            raise ValueError(f"mesh step h must be positive, got {self.h}")
         per = 1.0 / self.h
         if abs(per - round(per)) > 1e-9 or round(per) < 4:
             raise ValueError("1/h must be an integer >= 4 so the mesh resolves the bumps")
@@ -186,7 +188,7 @@ class SymmetricOperator:
         """Write ``row col value`` lines for external inspection."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r, c, v in zip(self.rows, self.cols, self.vals):
-                fh.write(f"{r} {c} {'%.12g' % v}\n")
+                fh.write(f"{r} {c} {CSV_FLOAT % v}\n")
 
 
 def _check_sample(sample: DisorderSample | None, count: int) -> np.ndarray:

@@ -30,13 +30,20 @@ __all__ = [
     "smear_spectrum",
     "stieltjes_eval",
     "window_tail_mass",
+    "write_csv",
 ]
 
 CSV_FLOAT = "%.12g"
 
 
-def _fmt(x: float) -> str:
-    return CSV_FLOAT % x
+def write_csv(path, columns: dict) -> None:
+    """Write ``columns`` (name -> 1-d array, in order) as a header row and one
+    row per index, every value as ``CSV_FLOAT``; UTF-8, commas, LF line ends."""
+    row = ",".join([CSV_FLOAT] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for values in zip(*(np.asarray(c).tolist() for c in columns.values())):
+            fh.write(row % values)
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,8 @@ class EnergyGrid:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.e_min, self.e_max, self.step)):
+            raise ValueError("grid bounds and step must be finite")
         if not (self.step > 0):
             raise ValueError("grid step must be positive")
         if not (self.e_max >= self.e_min):
@@ -188,15 +197,10 @@ class GridDensity:
 
     def to_csv(self, path) -> None:
         """Write ``energy,density`` rows (plus ``density_im`` when present)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if self.values_im is None:
-                fh.write("energy,density\n")
-                for e, v in zip(self.energies, self.values):
-                    fh.write(f"{_fmt(e)},{_fmt(v)}\n")
-            else:
-                fh.write("energy,density,density_im\n")
-                for e, v, w in zip(self.energies, self.values, self.values_im):
-                    fh.write(f"{_fmt(e)},{_fmt(v)},{_fmt(w)}\n")
+        columns = {"energy": self.energies, "density": self.values}
+        if self.values_im is not None:
+            columns["density_im"] = self.values_im
+        write_csv(path, columns)
 
 
 @dataclass
@@ -224,10 +228,7 @@ class StepIDS:
         return padded[idx]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("energy,ids\n")
-            for e, v in zip(self.jumps, self.cumulative):
-                fh.write(f"{_fmt(e)},{_fmt(v)}\n")
+        write_csv(path, {"energy": self.jumps, "ids": self.cumulative})
 
 
 def smear_spectrum(

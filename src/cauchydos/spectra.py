@@ -28,7 +28,7 @@ from .ensemble import (
 from .errors import CapExceededError, EnclosureError, SolverError
 from .free_models import bessel_j_sequence
 from .measures import (CauchyKernel, EnergyGrid, StepIDS, WeightedSpectrum, cauchy_density,
-                       smear_spectrum)
+                       smear_spectrum, write_csv)
 
 __all__ = [
     "DENSE_CAP",
@@ -217,20 +217,17 @@ class McEstimate:
     n_samples: int
     master_seed: int
 
+    def columns(self) -> dict:
+        """``x, mean, mean_im, std_error, n_samples`` (SE omitted for 1 sample)."""
+        columns = {"x": self.x, "mean": self.mean.real, "mean_im": self.mean.imag}
+        if self.std_error is not None:
+            columns["std_error"] = self.std_error
+        columns["n_samples"] = np.full(self.x.size, self.n_samples)
+        return columns
+
     def to_csv(self, path) -> None:
-        """Write ``x,mean,mean_im,std_error,n_samples`` rows (SE omitted for 1 sample)."""
-        fmt = "%.12g"
-        mean_im = self.mean.imag if np.iscomplexobj(self.mean) else np.zeros_like(self.x)
-        mean_re = self.mean.real if np.iscomplexobj(self.mean) else self.mean
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if self.std_error is None:
-                fh.write("x,mean,mean_im,n_samples\n")
-                for xi, mr, mi in zip(self.x, mean_re, mean_im):
-                    fh.write(f"{fmt % xi},{fmt % mr},{fmt % mi},{self.n_samples}\n")
-            else:
-                fh.write("x,mean,mean_im,std_error,n_samples\n")
-                for xi, mr, mi, se in zip(self.x, mean_re, mean_im, self.std_error):
-                    fh.write(f"{fmt % xi},{fmt % mr},{fmt % mi},{fmt % se},{self.n_samples}\n")
+        """Write :meth:`columns` as a CSV."""
+        write_csv(path, self.columns())
 
 
 def _run_samples(per_sample, n_samples: int, workers: int | None):
@@ -378,12 +375,12 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
 
 
 def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samples: int,
-           master_seed: int, volume: float | None = None, workers: int | None = None,
+           master_seed: int, workers: int | None = None,
            cap: int = DENSE_CAP) -> McEstimate:
     """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
 
-    ``volume`` defaults to the physical box size: bump count for continuum
-    meshes, site count for lattices.
+    Counts are divided by the box volume: the bump count for continuum meshes,
+    the site count otherwise.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -394,8 +391,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
             f"dense eigensolve of n={_operator_dim(model_spec)} exceeds cap {cap}; "
             "use the charfn route"
         )
-    if volume is None:
-        volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
+    volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
 
     def per_sample(i):
         sample = draw_sample(kernel, n_sites, master_seed, i)

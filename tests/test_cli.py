@@ -72,6 +72,38 @@ def test_bad_grid_is_usage_error(tmp_path):
     assert proc.returncode == 2
 
 
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_grid_is_usage_error(tmp_path):
+    common = ["--lambda", "1", "--out", str(tmp_path)]
+    for args in (["exact", "--model", "lattice", "--grid", "0:inf:0.5"],
+                 ["sample", "--model", "lattice", "--size", "8", "--samples", "2",
+                  "--broaden", "0.5", "--grid", "0:inf:0.5"],
+                 ["charfn", "--size", "8", "--samples", "2", "--t-grid", "0:inf:0.5"]):
+        assert_usage_error(run_cli(args + common, tmp_path))
+
+
+def test_zero_continuum_mesh_step_is_usage_error(tmp_path):
+    proc = run_cli(["sample", "--model", "continuum", "--size", "4", "--h", "0",
+                    "--lambda", "1", "--samples", "2", "--broaden", "0.5",
+                    "--grid", "0:1:0.5", "--out", str(tmp_path)], tmp_path)
+    assert_usage_error(proc)
+
+
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        proc = run_cli(["exact", "--model", "lattice", "--lambda", "1",
+                        "--grid", "-1:1:0.5", "--out", str(out)], tmp_path)
+        assert_usage_error(proc)
+    assert blocker.read_text() == ""
+
+
 def test_sample_compare_exact_columns_and_z(tmp_path):
     rc = main(["sample", "--model", "lattice", "--dim", "1", "--size", "128",
                "--samples", "6", "--lambda", "1", "--broaden", "0.5",

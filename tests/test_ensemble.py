@@ -158,6 +158,9 @@ def test_continuum_mesh_validation():
         BumpFamily(10, 0.3)  # 1/h not an integer
     with pytest.raises(ValueError):
         BumpFamily(10, 0.5)  # mesh too coarse
+    for h in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            BumpFamily(10, h)
 
 
 def test_partition_of_unity_on_mesh():

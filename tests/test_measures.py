@@ -18,6 +18,7 @@ from cauchydos.measures import (
     smear_spectrum,
     stieltjes_eval,
     window_tail_mass,
+    write_csv,
 )
 
 K1 = CauchyKernel(1.0)
@@ -80,6 +81,17 @@ def test_energy_grid_parse_and_count():
         EnergyGrid.parse("a:b:c")
     with pytest.raises(ValueError):
         EnergyGrid(0.0, 1.0, -0.1)
+    for bad in ((0.0, math.inf, 0.5), (-math.inf, 0.0, 0.5), (0.0, 1.0, math.inf),
+                (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyGrid(*bad)
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, {"b": np.array([0.1, 1.0 / 3.0, -2.5e-20]), "a": np.array([0.0, -0.0, 1e13]),
+                     "n": np.full(3, 7)})
+    assert path.read_bytes() == b"b,a,n\n0.1,0,7\n0.333333333333,-0,7\n-2.5e-20,1e+13,7\n"
 
 
 def test_weighted_spectrum_validation():
