@@ -26,26 +26,15 @@ from .free_models import (
     ContinuumFreeModel,
     LatticeFreeModel,
     bessel_j,
-    bethe_dos_smoothed,
     continuum_free_ids,
-    continuum_ids_smoothed,
     exact_smoothed,
-    kesten_mckay_density,
     lattice_dos_smoothed,
-    lattice_free_charfn,
 )
 from .measures import (
     CauchyKernel,
     EnergyGrid,
-    GridDensity,
-    StepIDS,
-    WeightedSpectrum,
-    cauchy_charfn,
     cauchy_density,
     cauchy_sample,
-    ids_of,
-    smear_spectrum,
-    stieltjes_eval,
 )
 from .spectra import (
     EigenDecomposition,
@@ -54,9 +43,7 @@ from .spectra import (
     chebyshev_evolve,
     dos_mc,
     eig_sym,
-    empirical_ids,
     ids_mc,
-    local_spectral_measure,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

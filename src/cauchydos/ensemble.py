@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CSV_FLOAT, CauchyKernel, cauchy_sample
+from .measures import CauchyKernel, cauchy_sample
 
 __all__ = [
     "BumpFamily",
@@ -183,12 +183,6 @@ class SymmetricOperator:
         np.add.at(radius, self.rows[off], np.abs(self.vals[off]))
         np.add.at(radius, self.cols[off], np.abs(self.vals[off]))
         return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-    def export_triples(self, path) -> None:
-        """Write ``row col value`` lines for external inspection."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for r, c, v in zip(self.rows, self.cols, self.vals):
-                fh.write(f"{r} {c} {CSV_FLOAT % v}\n")
 
 
 def _check_sample(sample: DisorderSample | None, count: int) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import j0, jv
 
 from .errors import OutsideStripError
-from .measures import CauchyKernel, EnergyGrid, GridDensity, window_tail_mass
+from .measures import CauchyKernel
 
 __all__ = [
     "BetheFreeModel",
@@ -44,16 +44,10 @@ __all__ = [
     "LatticeFreeModel",
     "bessel_j",
     "bessel_j_sequence",
-    "bethe_dos_curve",
-    "bethe_dos_smoothed",
     "continuum_free_ids",
-    "continuum_ids_smoothed",
     "exact_smoothed",
-    "kesten_mckay_density",
     "lattice_box_charfn",
-    "lattice_dos_curve",
     "lattice_dos_smoothed",
-    "lattice_free_charfn",
     "lattice_offdiag_charfn",
     "truncated_tree_mean_stieltjes",
     "truncated_tree_root_stieltjes",
@@ -185,35 +179,8 @@ def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarr
     return p.reshape(e.shape) / np.pi
 
 
-def _curve(model, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
-    half = max(abs(grid.e_min), abs(grid.e_max))
-    return GridDensity(grid.e_min, grid.e_max, grid.step,
-                       exact_smoothed(model, kernel, grid.points), None,
-                       {"window_tail_mass": window_tail_mass(kernel, half)})
-
-
 def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
     """Cauchy-smoothed lattice density of states; see ``exact_smoothed``."""
-    return exact_smoothed(model, kernel, energy)
-
-
-def lattice_dos_curve(model: LatticeFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
-    """Smoothed lattice DOS on a grid, with the Cauchy mass outside the window in meta."""
-    return _curve(model, kernel, grid)
-
-
-def bethe_dos_smoothed(model: BetheFreeModel, kernel: CauchyKernel, energy):
-    """Cauchy-smoothed Kesten-McKay density; see ``exact_smoothed``."""
-    return exact_smoothed(model, kernel, energy)
-
-
-def bethe_dos_curve(model: BetheFreeModel, kernel: CauchyKernel, grid: EnergyGrid) -> GridDensity:
-    """Smoothed Kesten-McKay density on a grid, with the Cauchy mass outside the window in meta."""
-    return _curve(model, kernel, grid)
-
-
-def continuum_ids_smoothed(model: ContinuumFreeModel, kernel: CauchyKernel, energy):
-    """Cauchy-smoothed free IDS of -d^2/dx^2; see ``exact_smoothed``."""
     return exact_smoothed(model, kernel, energy)
 
 
@@ -267,11 +234,6 @@ def bessel_j(n: int, x: float) -> float:
     return float(jv(n, x))
 
 
-def lattice_free_charfn(model: LatticeFreeModel, t: float) -> float:
-    """Diagonal free amplitude <delta_0, exp(itH0) delta_0> = J_0(2t)^d."""
-    return bessel_j(0, 2.0 * t) ** model.d
-
-
 def lattice_offdiag_charfn(model: LatticeFreeModel, x, t: float) -> complex:
     """Off-diagonal free amplitude <delta_0, exp(itH0) delta_x> on Z^d.
 
@@ -308,27 +270,8 @@ def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
 
 
 # ---------------------------------------------------------------------------
-# Bethe lattice: Kesten-McKay law and truncated-tree transforms.
+# Bethe lattice: truncated-tree transforms.
 # ---------------------------------------------------------------------------
-
-
-def kesten_mckay_density(model: BetheFreeModel, energy):
-    """Root spectral density of the infinite (K+1)-regular tree.
-
-    rho(E) = (K+1) sqrt(4K - E^2) / (2 pi ((K+1)^2 - E^2)) on |E| <= 2 sqrt K.
-    """
-    K = model.K
-    e = np.asarray(energy, dtype=float)
-    inside = 4.0 * K - np.square(e)
-    if e.ndim == 0:
-        if inside <= 0:
-            return 0.0
-        return float((K + 1) * np.sqrt(inside) / (2.0 * np.pi * ((K + 1) ** 2 - e * e)))
-    out = np.zeros_like(inside)
-    band = inside > 0  # the (K+1)^2 - E^2 pole sits outside the band
-    out[band] = ((K + 1) * np.sqrt(inside[band])
-                 / (2.0 * np.pi * ((K + 1) ** 2 - np.square(e[band]))))
-    return out
 
 
 def truncated_tree_root_stieltjes(K: int, depth: int, z):

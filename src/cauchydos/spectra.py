@@ -29,8 +29,7 @@ from .ensemble import (
 )
 from .errors import CapExceededError, EnclosureError, SolverError
 from .free_models import bessel_j_sequence
-from .measures import (CauchyKernel, EnergyGrid, StepIDS, WeightedSpectrum, cauchy_density,
-                       smear_spectrum, write_csv)
+from .measures import CauchyKernel, EnergyGrid, cauchy_density, write_csv
 
 __all__ = [
     "DENSE_CAP",
@@ -41,10 +40,8 @@ __all__ = [
     "dos_mc",
     "eig_sym",
     "eigvals_sym",
-    "empirical_ids",
     "ids_mc",
     "krylov_charfn",
-    "local_spectral_measure",
     "worker_count",
 ]
 
@@ -116,28 +113,6 @@ def eigvals_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> np.ndarray:
     from scipy.linalg import eigvals_banded
 
     return _guarded_solve(op, cap, lambda: eigvals_banded(band, lower=True, check_finite=False))
-
-
-def local_spectral_measure(eig: EigenDecomposition, site_phi: int, site_psi: int) -> WeightedSpectrum:
-    """Point measure at the eigenvalues with weights v_i(phi) * v_i(psi).
-
-    The diagonal case (phi == psi) is a probability measure by completeness.
-    """
-    n = eig.values.size
-    if not (0 <= site_phi < n and 0 <= site_psi < n):
-        raise IndexError(f"site indices ({site_phi}, {site_psi}) out of range for n={n}")
-    weights = eig.vectors[site_phi, :] * eig.vectors[site_psi, :]
-    return WeightedSpectrum(eig.values, weights)
-
-
-def empirical_ids(eig, volume: float) -> StepIDS:
-    """Eigenvalue-counting IDS: jump 1/volume at each eigenvalue, capped at 1."""
-    if not (volume > 0):
-        raise ValueError("volume must be positive")
-    values = eig.values if isinstance(eig, EigenDecomposition) else np.asarray(eig, dtype=float)
-    values = np.sort(values)
-    cumulative = np.minimum(np.arange(1, values.size + 1) / volume, 1.0)
-    return StepIDS(values, cumulative)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +408,8 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
         def per_sample(i):
             sample = draw_sample(kernel, n_sites, master_seed, i)
             eig = eig_sym(build_operator(model_spec, sample), cap=cap)
-            return smear_spectrum(local_spectral_measure(eig, 0, 0), smear, grid).values
+            poisson = cauchy_density(smear, energies[:, None] - eig.values[None, :])
+            return poisson @ (eig.vectors[0] * eig.vectors[0])
 
     curves = _run_samples(per_sample, n_samples, workers)
     return _reduce(energies, curves, n_samples, master_seed)
@@ -461,7 +437,8 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     def per_sample(i):
         sample = draw_sample(kernel, n_sites, master_seed, i)
         values = eigvals_sym(build_operator(model_spec, sample), cap=cap)
-        return empirical_ids(values, volume).at(e_points)
+        # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
+        return np.searchsorted(values, e_points, side="right") / volume
 
     curves = _run_samples(per_sample, n_samples, workers)
     return _reduce(e_points, curves, n_samples, master_seed)

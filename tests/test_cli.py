@@ -81,6 +81,9 @@ def assert_usage_error(proc):
 def test_non_finite_grid_is_usage_error(tmp_path):
     common = ["--lambda", "1", "--out", str(tmp_path)]
     for args in (["exact", "--model", "lattice", "--grid", "0:inf:0.5"],
+                 # too many points: the count overflows, or is finite but over the bound
+                 ["exact", "--model", "lattice", "--grid", "0:1e300:1e-300"],
+                 ["exact", "--model", "lattice", "--grid", "0:1e12:1"],
                  ["sample", "--model", "lattice", "--size", "8", "--samples", "2",
                   "--broaden", "0.5", "--grid", "0:inf:0.5"],
                  ["charfn", "--size", "8", "--samples", "2", "--t-grid", "0:inf:0.5"]):

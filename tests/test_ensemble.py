@@ -202,22 +202,6 @@ def test_gershgorin_encloses_spectrum():
     assert lo <= vals[0] and vals[-1] <= hi
 
 
-def test_export_triples_roundtrip(tmp_path):
-    op = build_lattice(LatticeBoxSpec(1, 3, "dirichlet"),
-                       draw_sample(K1, 3, 0, 0))
-    path = tmp_path / "op.txt"
-    op.export_triples(path)
-    rows = []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append((int(r), int(c), float(v)))
-    dense = np.zeros((3, 3))
-    for r, c, v in rows:
-        dense[r, c] = v
-        dense[c, r] = v
-    assert np.allclose(dense, op.to_dense(), atol=1e-12)
-
-
 def test_dispatch_helpers():
     assert site_count(LatticeBoxSpec(2, 5)) == 25
     assert site_count(TreeSpec(2, 2)) == 10

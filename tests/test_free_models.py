@@ -12,16 +12,10 @@ from cauchydos.free_models import (
     LatticeFreeModel,
     bessel_j,
     bessel_j_sequence,
-    bethe_dos_curve,
-    bethe_dos_smoothed,
     continuum_free_ids,
-    continuum_ids_smoothed,
     exact_smoothed,
-    kesten_mckay_density,
     lattice_box_charfn,
-    lattice_dos_curve,
     lattice_dos_smoothed,
-    lattice_free_charfn,
     lattice_offdiag_charfn,
     truncated_tree_mean_stieltjes,
     truncated_tree_root_stieltjes,
@@ -29,9 +23,28 @@ from cauchydos.free_models import (
     _GROUP,
     _lattice_time_integral,
 )
-from cauchydos.measures import CauchyKernel, EnergyGrid
+from cauchydos.measures import CauchyKernel, EnergyGrid, window_tail_mass
 
 J0_FIRST_ZERO = 2.404825557695773
+
+
+def kesten_mckay_density(model: BetheFreeModel, energy):
+    """Root spectral density of the infinite (K+1)-regular tree (the lam -> 0 oracle).
+
+    rho(E) = (K+1) sqrt(4K - E^2) / (2 pi ((K+1)^2 - E^2)) on |E| <= 2 sqrt K.
+    """
+    K = model.K
+    e = np.asarray(energy, dtype=float)
+    inside = 4.0 * K - np.square(e)
+    if e.ndim == 0:
+        if inside <= 0:
+            return 0.0
+        return float((K + 1) * np.sqrt(inside) / (2.0 * np.pi * ((K + 1) ** 2 - e * e)))
+    out = np.zeros_like(inside)
+    band = inside > 0  # the (K+1)^2 - E^2 pole sits outside the band
+    out[band] = ((K + 1) * np.sqrt(inside[band])
+                 / (2.0 * np.pi * ((K + 1) ** 2 - np.square(e[band]))))
+    return out
 
 # frozen against an independent high-precision series evaluation (mpmath, 40 digits)
 BESSEL_ORACLE = {
@@ -98,17 +111,18 @@ def test_bessel_sequence_matches_scalar():
 
 
 def test_lattice_free_charfn_values():
-    assert lattice_free_charfn(LatticeFreeModel(3), 0.0) == 1.0
-    assert lattice_free_charfn(LatticeFreeModel(2), 0.5) == pytest.approx(
+    # the diagonal free amplitude is J_0(2t)^d
+    assert lattice_offdiag_charfn(LatticeFreeModel(3), [0, 0, 0], 0.0) == 1.0
+    assert lattice_offdiag_charfn(LatticeFreeModel(2), [0, 0], 0.5) == pytest.approx(
         0.58552749951366402, abs=1e-12)
-    assert abs(lattice_free_charfn(LatticeFreeModel(1), J0_FIRST_ZERO / 2.0)) < 1e-12
+    assert abs(lattice_offdiag_charfn(LatticeFreeModel(1), [0], J0_FIRST_ZERO / 2.0)) < 1e-12
 
 
 def test_lattice_offdiag_reduces_to_diagonal():
     m = LatticeFreeModel(2)
     for t in (0.0, 0.7, 2.3):
         assert lattice_offdiag_charfn(m, [0, 0], t) == pytest.approx(
-            lattice_free_charfn(m, t), abs=1e-13)
+            j0(2.0 * t) ** 2, abs=1e-13)
 
 
 def test_lattice_offdiag_values():
@@ -183,9 +197,9 @@ def test_lattice_dos_curve_matches_scalar():
     m = LatticeFreeModel(1)
     k = CauchyKernel(1.0)
     grid = EnergyGrid(-6.0, 6.0, 0.75)
-    curve = lattice_dos_curve(m, k, grid)
+    curve = exact_smoothed(m, k, grid.points)
     scal = np.array([lattice_dos_smoothed(m, k, e) for e in grid.points])
-    assert np.max(np.abs(curve.values - scal)) < 1e-10
+    assert np.max(np.abs(curve - scal)) < 1e-10
 
 
 def test_lattice_dos_curve_mass_with_declared_tail():
@@ -193,8 +207,9 @@ def test_lattice_dos_curve_mass_with_declared_tail():
         lam = 1.0
         half = 2 * d + 60 * lam
         grid = EnergyGrid(-half, half, 0.02)
-        curve = lattice_dos_curve(LatticeFreeModel(d), CauchyKernel(lam), grid)
-        mass = curve.trapezoid_mass() + curve.meta["window_tail_mass"]
+        v = exact_smoothed(LatticeFreeModel(d), CauchyKernel(lam), grid.points)
+        inside = (0.5 * (v[0] + v[-1]) + v[1:-1].sum()) * grid.step
+        mass = inside + window_tail_mass(CauchyKernel(lam), half)
         assert abs(mass - 1.0) < 2e-3
 
 
@@ -224,16 +239,16 @@ def test_bethe_smoothed_resolvent_oracle():
         return (1.0 / (-z - (K + 1) * s)).imag / math.pi
 
     for K, lam, e in ((2, 1.0, 0.0), (2, 0.6, 1.3), (3, 0.8, -2.0)):
-        assert bethe_dos_smoothed(BetheFreeModel(K), CauchyKernel(lam), e) == pytest.approx(
+        assert exact_smoothed(BetheFreeModel(K), CauchyKernel(lam), e) == pytest.approx(
             resolvent_value(K, lam, e), abs=1e-9)
-    assert bethe_dos_smoothed(BetheFreeModel(2), CauchyKernel(1.0), 0.0) == pytest.approx(
+    assert exact_smoothed(BetheFreeModel(2), CauchyKernel(1.0), 0.0) == pytest.approx(
         2.0 / (5.0 * math.pi), abs=1e-10)
 
 
 def test_bethe_smoothed_small_lambda_recovers_kesten_mckay():
     b = BetheFreeModel(2)
     for e in (0.0, 0.7, -1.4):
-        assert bethe_dos_smoothed(b, CauchyKernel(1e-3), e) == pytest.approx(
+        assert exact_smoothed(b, CauchyKernel(1e-3), e) == pytest.approx(
             kesten_mckay_density(b, e), abs=1e-2)
 
 
@@ -241,29 +256,28 @@ def test_bethe_smoothed_even():
     b = BetheFreeModel(2)
     k = CauchyKernel(0.9)
     for e in (0.4, 1.9, 2.7):
-        assert bethe_dos_smoothed(b, k, e) == pytest.approx(bethe_dos_smoothed(b, k, -e),
-                                                            abs=1e-10)
+        assert exact_smoothed(b, k, e) == pytest.approx(exact_smoothed(b, k, -e), abs=1e-10)
 
 
 def test_bethe_curve_matches_scalar():
     b = BetheFreeModel(2)
     k = CauchyKernel(1.1)
     grid = EnergyGrid(-2.9, 2.9, 0.29)
-    curve = bethe_dos_curve(b, k, grid)
-    scal = np.array([bethe_dos_smoothed(b, k, e) for e in grid.points])
-    assert np.max(np.abs(curve.values - scal)) < 1e-9
+    curve = exact_smoothed(b, k, grid.points)
+    scal = np.array([exact_smoothed(b, k, e) for e in grid.points])
+    assert np.max(np.abs(curve - scal)) < 1e-9
 
 
 def test_truncated_tree_transforms_match_dense_eigensolve():
     from cauchydos.ensemble import TreeSpec, build_tree
-    from cauchydos.spectra import eig_sym, local_spectral_measure
+    from cauchydos.spectra import eig_sym
 
     K, depth = 2, 5
     spec = TreeSpec(K, depth)
     eig = eig_sym(build_tree(spec, None))
     z = np.array([0.3 + 0.5j, -1.2 + 0.25j, 2.0 + 1.0j])
-    meas = local_spectral_measure(eig, 0, 0)
-    root_direct = np.array([np.sum(meas.weights / (meas.points - zz)) for zz in z])
+    weights = eig.vectors[0] ** 2
+    root_direct = np.array([np.sum(weights / (eig.values - zz)) for zz in z])
     assert np.max(np.abs(truncated_tree_root_stieltjes(K, depth, z) - root_direct)) < 1e-12
     mean_direct = np.array(
         [np.mean(1.0 / (eig.values - zz)) for zz in z])
@@ -283,7 +297,7 @@ def test_truncated_tree_converges_to_kesten_mckay():
     k = CauchyKernel(1.0)
     z = 0.5 + 1j * k.lam
     deep = truncated_tree_root_stieltjes(2, 28, z).imag / math.pi
-    assert deep == pytest.approx(bethe_dos_smoothed(b, k, 0.5), abs=1e-3)
+    assert deep == pytest.approx(exact_smoothed(b, k, 0.5), abs=1e-3)
 
 
 def test_depth_fourteen_free_root_close_to_kesten_mckay():
@@ -292,7 +306,7 @@ def test_depth_fourteen_free_root_close_to_kesten_mckay():
     grid = EnergyGrid(-2.5, 2.5, 0.02)
     z = grid.points + 0.5j
     root = truncated_tree_root_stieltjes(2, 14, z).imag / math.pi
-    km = bethe_dos_curve(BetheFreeModel(2), CauchyKernel(0.5), grid).values
+    km = exact_smoothed(BetheFreeModel(2), CauchyKernel(0.5), grid.points)
     assert np.max(np.abs(root - km)) <= 0.01
 
 
@@ -308,15 +322,15 @@ def test_continuum_ids_smoothed_regression():
     # frozen from two independent 30-digit quadratures (tan substitution and
     # direct heavy-tail integral)
     m = ContinuumFreeModel()
-    assert continuum_ids_smoothed(m, CauchyKernel(0.2), 1.0) == pytest.approx(
+    assert exact_smoothed(m, CauchyKernel(0.2), 1.0) == pytest.approx(
         0.31988194865360675, abs=1e-9)
 
 
 def test_continuum_ids_smoothed_limits():
     m = ContinuumFreeModel()
-    assert continuum_ids_smoothed(m, CauchyKernel(1e-4), 1.0) == pytest.approx(
+    assert exact_smoothed(m, CauchyKernel(1e-4), 1.0) == pytest.approx(
         1.0 / math.pi, abs=1e-3)
-    vals = [continuum_ids_smoothed(m, CauchyKernel(0.3), e) for e in (-1.0, -3.0, -8.0)]
+    vals = [exact_smoothed(m, CauchyKernel(0.3), e) for e in (-1.0, -3.0, -8.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.02
 
@@ -419,8 +433,8 @@ def test_bethe_closed_form_matches_quadrature(K, lam):
     b, k = BetheFreeModel(K), CauchyKernel(lam)
     grid = EnergyGrid(-4.0, 4.0, 0.1)
     oracle = np.array([bethe_quad(K, lam, e) for e in grid.points])
-    assert np.max(np.abs(bethe_dos_curve(b, k, grid).values - oracle)) <= ORACLE_TOL
-    scalar = np.array([bethe_dos_smoothed(b, k, e) for e in grid.points])
+    assert np.max(np.abs(exact_smoothed(b, k, grid.points) - oracle)) <= ORACLE_TOL
+    scalar = np.array([exact_smoothed(b, k, e) for e in grid.points])
     assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
 
 
@@ -430,7 +444,7 @@ def test_continuum_closed_form_matches_quadrature(lam):
     e = EnergyGrid(-1.0, 4.0, 0.25).points
     oracle = np.array([continuum_quad(lam, x) for x in e])
     assert np.max(np.abs(exact_smoothed(m, k, e) - oracle)) <= ORACLE_TOL
-    scalar = np.array([continuum_ids_smoothed(m, k, x) for x in e])
+    scalar = np.array([exact_smoothed(m, k, x) for x in e])
     assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
 
 
@@ -440,7 +454,7 @@ def test_lattice_dos_matches_time_domain_quadrature(d, lam):
     m, k = LatticeFreeModel(d), CauchyKernel(lam)
     grid = EnergyGrid(-5.0, 5.0, 0.5)
     oracle = np.array([lattice_quad(d, lam, e) for e in grid.points])
-    assert np.max(np.abs(lattice_dos_curve(m, k, grid).values - oracle)) <= ORACLE_TOL
+    assert np.max(np.abs(exact_smoothed(m, k, grid.points) - oracle)) <= ORACLE_TOL
     scalar = np.array([lattice_dos_smoothed(m, k, e) for e in grid.points])
     assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
 

@@ -18,7 +18,7 @@ from cauchydos.ensemble import (
 )
 from cauchydos.errors import CapExceededError, EnclosureError
 from cauchydos.free_models import lattice_dos_smoothed, LatticeFreeModel
-from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, smear_spectrum
+from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density
 from cauchydos.spectra import (
     McEstimate,
     _tree_green_diagonals,
@@ -27,10 +27,8 @@ from cauchydos.spectra import (
     dos_mc,
     eig_sym,
     eigvals_sym,
-    empirical_ids,
     ids_mc,
     krylov_charfn,
-    local_spectral_measure,
 )
 
 from conftest import child_env, random_sparse_symmetric
@@ -112,50 +110,41 @@ def test_eigvals_sym_general_sparse_stays_dense():
 
 
 def test_local_measure_diagonal_sums_to_one():
+    # the weights v_k(phi) v_k(psi) of the local measure at the eigenvalues
     op = random_sparse_symmetric(60, 2)
     eig = eig_sym(op)
-    meas = local_spectral_measure(eig, 7, 7)
-    assert meas.weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.all(meas.weights >= -1e-12)
+    weights = eig.vectors[7] * eig.vectors[7]
+    assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.all(weights >= -1e-12)
     # any unit pair: total weight bounded by 1 (orthonormal columns)
     for psi in (7, 8, 31):
-        total = abs(local_spectral_measure(eig, 7, psi).total_weight())
-        assert total <= 1.0 + 1e-10
+        assert abs(np.sum(eig.vectors[7] * eig.vectors[psi])) <= 1.0 + 1e-10
 
 
 def test_local_measure_swap_matrix():
     eig = eig_sym(SWAP)
-    diag = local_spectral_measure(eig, 0, 0)
-    assert np.allclose(diag.weights, [0.5, 0.5], atol=1e-14)
-    off = local_spectral_measure(eig, 0, 1)
-    assert np.allclose(np.sort(off.weights), [-0.5, 0.5], atol=1e-14)
-    assert off.weights[0] == pytest.approx(-0.5, abs=1e-14)  # at eigenvalue -1
-
-
-def test_local_measure_index_errors():
-    eig = eig_sym(SWAP)
-    with pytest.raises(IndexError):
-        local_spectral_measure(eig, 0, 2)
+    diag = eig.vectors[0] * eig.vectors[0]
+    assert np.allclose(diag, [0.5, 0.5], atol=1e-14)
+    off = eig.vectors[0] * eig.vectors[1]
+    assert np.allclose(np.sort(off), [-0.5, 0.5], atol=1e-14)
+    assert off[0] == pytest.approx(-0.5, abs=1e-14)  # at eigenvalue -1
 
 
 def test_empirical_ids_free_ring():
     # spectrum {2, 0, 0, -2}; the double zero splits at machine precision,
     # so probe just off zero as the one-sided limits
-    eig = eig_sym(build_lattice(LatticeBoxSpec(1, 4, "periodic"), None))
-    ids = empirical_ids(eig, 4.0)
-    assert ids.at(-1e-9) == pytest.approx(0.25)
-    assert ids.at(1e-9) == pytest.approx(0.75)
-    assert ids.at(2.0 + 1e-9) == pytest.approx(1.0)
+    ids = ids_mc(LatticeBoxSpec(1, 4, "periodic"), None, [-1e-9, 1e-9, 2.0 + 1e-9], 1, 0)
+    assert np.allclose(ids.mean, [0.25, 0.75, 1.0], rtol=0, atol=1e-15)
 
 
 def test_empirical_ids_single_site_and_shift():
-    ids = empirical_ids(np.array([0.0]), 1.0)
-    assert ids.at(0.0) == 1.0 and ids.at(-0.1) == 0.0
-    vals = np.array([-1.0, 0.5, 2.0])
-    shifted = empirical_ids(vals + 0.3, 3.0)
-    assert np.allclose(shifted.jumps, vals + 0.3)
-    with pytest.raises(ValueError):
-        empirical_ids(vals, 0.0)
+    # the count is right-continuous: a jump at E belongs to N(E)
+    box = LatticeBoxSpec(1, 1, "dirichlet")
+    assert np.array_equal(ids_mc(box, None, [-1e-12, 0.0], 1, 0).mean, [0.0, 1.0])
+    # with disorder the one eigenvalue is the coupling itself
+    omega = draw_sample(K1, 1, 3, 0).omegas[0]
+    at = [np.nextafter(omega, -np.inf), omega]
+    assert np.array_equal(ids_mc(box, K1, at, 1, 3).mean, [0.0, 1.0])
 
 
 def test_chebyshev_identity_at_zero():
@@ -348,6 +337,12 @@ def test_krylov_charfn_t_zero_is_exact_inner_product():
     assert off[times == 0.0][0] == 0.0
 
 
+def _site_stieltjes(eig, energies, eta):
+    """(1/pi) Im sum_k v_0k^2 / (theta_k - E - i eta), the site-0 resolvent."""
+    z = energies[:, None] + 1j * eta
+    return np.sum(eig.vectors[0] ** 2 / (eig.values - z), axis=1).imag / np.pi
+
+
 def test_dos_mc_site_route_equals_explicit_smear():
     spec = LatticeBoxSpec(1, 24, "periodic")
     grid = EnergyGrid(-3.0, 3.0, 0.5)
@@ -355,9 +350,7 @@ def test_dos_mc_site_route_equals_explicit_smear():
     est = dos_mc(spec, K1, grid, 1, 5, eta, estimator="site")
     sample = draw_sample(K1, 24, 5, 0)
     eig = eig_sym(build_lattice(spec, sample))
-    meas = local_spectral_measure(eig, 0, 0)
-    direct = smear_spectrum(meas, CauchyKernel(eta), grid).values
-    assert np.max(np.abs(est.mean - direct)) < 1e-13
+    assert np.max(np.abs(est.mean - _site_stieltjes(eig, grid.points, eta))) < 1e-13
 
 
 def test_dos_mc_trace_and_site_agree_statistically():
@@ -402,7 +395,7 @@ def test_dos_mc_validation():
 
 def test_dos_mc_tree_recursion_equals_dense_route():
     # the pivot sweep against a dense eigendecomposition of the same samples:
-    # all eigenvalues broadened (trace) and the root's measure smeared (site)
+    # all eigenvalues broadened (trace) and the root's resolvent (site)
     grid = EnergyGrid(-2.5, 2.5, 0.5)
     eta = 0.35
     smear = CauchyKernel(eta)
@@ -412,7 +405,7 @@ def test_dos_mc_tree_recursion_equals_dense_route():
             eig = eig_sym(build_tree(spec, draw_sample(K1, spec.n_vertices, 9, i)))
             poisson = cauchy_density(smear, grid.points[:, None] - eig.values[None, :])
             trace_curves.append(poisson.sum(axis=1) / eig.values.size)
-            site_curves.append(smear_spectrum(local_spectral_measure(eig, 0, 0), smear, grid).values)
+            site_curves.append(_site_stieltjes(eig, grid.points, eta))
         trace = dos_mc(spec, K1, grid, 3, 9, eta, estimator="trace")
         assert np.max(np.abs(trace.mean - np.mean(trace_curves, axis=0))) < 1e-12
         site = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site")
@@ -451,13 +444,17 @@ def test_dos_mc_deterministic_across_runs_and_workers():
 
 
 def test_ids_mc_free_single_sample_matches_direct_count():
+    # past pi^2 the count exceeds one state per unit length
     bumps = BumpFamily(20, 0.1)
-    pts = np.arange(0.0, 4.0001, 0.5)
+    pts = np.concatenate((np.arange(0.0, 4.0001, 0.5), [12.0, 16.0, 25.0]))
     est = ids_mc(bumps, None, pts, 1, 0)
     vals = eigvals_sym(build_operator(bumps, None))
-    direct = empirical_ids(vals, 20.0).at(pts)
+    direct = np.count_nonzero(vals[:, None] <= pts, axis=0) / 20.0
     assert np.array_equal(est.mean, direct)
     assert est.std_error is None
+    high = np.array([12.0, 16.0, 25.0])
+    fine = ids_mc(BumpFamily(100, 0.05), None, high, 1, 0).mean
+    assert np.max(np.abs(fine - np.sqrt(high) / np.pi)) <= 0.01
 
 
 def test_mc_estimate_csv_single_sample_drops_se(tmp_path):
