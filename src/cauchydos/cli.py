@@ -59,13 +59,6 @@ def _emit(args, stem: str, columns: dict, parameters: dict, master_seed, t0: flo
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> EnergyGrid:
-    try:
-        return EnergyGrid.parse(text)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -73,7 +66,7 @@ def _usage_error(message: str) -> int:
 
 def _cmd_exact(args) -> int:
     t0 = time.perf_counter()
-    grid = _parse_grid(args.grid)
+    grid = EnergyGrid.parse(args.grid)
     kernel = CauchyKernel(args.lam)
     params = {"model": args.model, "lambda": args.lam,
               "grid": [grid.e_min, grid.e_max, grid.step]}
@@ -103,11 +96,9 @@ def _model_spec_from_args(args):
 
 def _cmd_sample(args) -> int:
     t0 = time.perf_counter()
-    grid = _parse_grid(args.grid)
+    grid = EnergyGrid.parse(args.grid)
     kernel = CauchyKernel(args.lam)
     spec = _model_spec_from_args(args)
-    if args.broaden <= 0:
-        return _usage_error("--broaden must be > 0")
     if args.compare_exact and args.model == "continuum":
         return _usage_error("--compare-exact supports lattice and bethe models")
 
@@ -146,7 +137,7 @@ def _exact_reference(args, grid: EnergyGrid) -> np.ndarray:
 
 def _cmd_charfn(args) -> int:
     t0 = time.perf_counter()
-    grid = _parse_grid(args.t_grid)
+    grid = EnergyGrid.parse(args.t_grid)
     kernel = CauchyKernel(args.lam)
     if args.model != "lattice":
         return _usage_error("charfn supports --model lattice (the free amplitude "

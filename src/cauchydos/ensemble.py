@@ -32,11 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """One realization of i.i.d. Cauchy couplings with full seed provenance."""
+    """One realization of i.i.d. Cauchy couplings."""
 
     omegas: np.ndarray
-    master_seed: int
-    sample_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
@@ -48,20 +46,19 @@ def draw_sample(kernel: CauchyKernel | None, count: int, master_seed: int,
 
     Uniforms are taken as (k + 1/2) / 2^53 with k a 53-bit Philox integer, so
     they lie strictly inside (0, 1); cauchy_sample maps them to couplings.
-    ``kernel=None`` yields the disorder-off sample (all couplings zero) under
-    the same provenance.
+    ``kernel=None`` yields the disorder-off sample (all couplings zero).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if master_seed < 0 or sample_index < 0:
         raise ValueError("master_seed and sample_index must be nonnegative")
     if kernel is None:
-        return DisorderSample(np.zeros(count), master_seed, sample_index)
+        return DisorderSample(np.zeros(count))
     bitgen = np.random.Philox(key=np.array([master_seed, sample_index], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     k = gen.integers(0, 1 << 53, size=count, dtype=np.uint64)
     u = (k.astype(float) + 0.5) / float(1 << 53)
-    return DisorderSample(cauchy_sample(kernel, u), master_seed, sample_index)
+    return DisorderSample(cauchy_sample(kernel, u))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "exact_smoothed",
     "lattice_box_charfn",
     "lattice_dos_smoothed",
-    "lattice_offdiag_charfn",
     "truncated_tree_mean_stieltjes",
     "truncated_tree_root_stieltjes",
 ]
@@ -80,10 +79,6 @@ class BetheFreeModel:
     def __post_init__(self):
         if not (isinstance(self.K, int) and self.K >= 2):
             raise ValueError("branching number K must be an integer >= 2")
-
-    @property
-    def band_edge(self) -> float:
-        return 2.0 * math.sqrt(self.K)
 
 
 @dataclass(frozen=True)
@@ -234,38 +229,27 @@ def bessel_j(n: int, x: float) -> float:
     return float(jv(n, x))
 
 
-def lattice_offdiag_charfn(model: LatticeFreeModel, x, t: float) -> complex:
-    """Off-diagonal free amplitude <delta_0, exp(itH0) delta_x> on Z^d.
-
-    Factorizes over axes as prod_j i^{x_j} J_{x_j}(2t); negative offsets are
-    handled through J_{-m}(y) = (-1)^m J_m(y).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=int))
-    if x.size != model.d:
-        raise ValueError(f"offset has {x.size} components, model dimension is {model.d}")
-    amp = 1.0 + 0.0j
-    for m in x:
-        a = abs(int(m))
-        # i^(-a) J_(-a) = i^a J_a, so only the magnitude of the offset enters
-        amp *= (1j ** a) * bessel_j(a, 2.0 * t)
-    return amp
-
-
 def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
                        phi_site: int, psi_site: int, times) -> np.ndarray:
     """Exact average exp(-lam|t|) <delta_phi, exp(itH) delta_psi> for two box sites.
 
     The linear site indices of a periodic box with ``side`` sites per axis are
     decoded with axis 0 fastest, as ``ensemble.build_lattice`` numbers them.
-    The free amplitude is taken at the per-axis offset to the nearest periodic
-    image, so offset side-1 on a ring counts as -1.
+    The free amplitude is taken at the per-axis offset x to the nearest
+    periodic image, so offset side-1 on a ring counts as -1. On Z^d it
+    factorizes over axes as prod_j i^{x_j} J_{x_j}(2t), and negative offsets
+    enter through J_{-m}(y) = (-1)^m J_m(y).
     """
     shape = (side,) * model.d
     phi = np.array(np.unravel_index(phi_site, shape, order="F"))
     psi = np.array(np.unravel_index(psi_site, shape, order="F"))
     offset = (psi - phi + side // 2) % side - side // 2
     times = np.asarray(times, dtype=float)
-    free = np.array([lattice_offdiag_charfn(model, offset, t) for t in times])
+    free = np.full(times.shape, 1.0 + 0.0j)
+    for m in offset:
+        a = abs(int(m))
+        # i^(-a) J_(-a) = i^a J_a, so only the magnitude of the offset enters
+        free *= (1j ** a) * jv(a, 2.0 * times)
     return np.exp(-kernel.lam * np.abs(times)) * free
 
 

@@ -29,7 +29,7 @@ from .ensemble import (
 )
 from .errors import CapExceededError, EnclosureError, SolverError
 from .free_models import bessel_j_sequence
-from .measures import CauchyKernel, EnergyGrid, cauchy_density, write_csv
+from .measures import CauchyKernel, EnergyGrid, cauchy_density
 
 __all__ = [
     "DENSE_CAP",
@@ -65,14 +65,14 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _guarded_solve(op: SymmetricOperator, cap: int, solve):
-    """Run ``solve()``, a LAPACK symmetric solve of ``op``, capped at ``cap``.
+def _guarded_solve(op: SymmetricOperator, solve):
+    """Run ``solve()``, a LAPACK symmetric solve of ``op``, capped at DENSE_CAP.
 
     A convergence failure names the matrix by a SHA-256 digest of its
     triples, which is the same in every process.
     """
-    if op.n > cap:
-        raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {cap}")
+    if op.n > DENSE_CAP:
+        raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {DENSE_CAP}")
     try:
         return solve()
     except np.linalg.LinAlgError as exc:
@@ -100,19 +100,19 @@ def _ring_band(op: SymmetricOperator) -> np.ndarray | None:
     return band
 
 
-def eig_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> EigenDecomposition:
-    """Dense symmetric eigendecomposition (LAPACK), capped at ``cap``."""
-    return EigenDecomposition(*_guarded_solve(op, cap, lambda: np.linalg.eigh(op.to_dense())))
+def eig_sym(op: SymmetricOperator) -> EigenDecomposition:
+    """Dense symmetric eigendecomposition (LAPACK), capped at DENSE_CAP."""
+    return EigenDecomposition(*_guarded_solve(op, lambda: np.linalg.eigh(op.to_dense())))
 
 
-def eigvals_sym(op: SymmetricOperator, cap: int = DENSE_CAP) -> np.ndarray:
+def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
     """Ascending eigenvalues only: a band solve for chains and rings, dense otherwise."""
     band = _ring_band(op)
     if band is None:
-        return _guarded_solve(op, cap, lambda: np.linalg.eigvalsh(op.to_dense()))
+        return _guarded_solve(op, lambda: np.linalg.eigvalsh(op.to_dense()))
     from scipy.linalg import eigvals_banded
 
-    return _guarded_solve(op, cap, lambda: eigvals_banded(band, lower=True, check_finite=False))
+    return _guarded_solve(op, lambda: eigvals_banded(band, lower=True, check_finite=False))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,6 @@ class McEstimate:
     mean: np.ndarray
     std_error: np.ndarray | None
     n_samples: int
-    master_seed: int
 
     def columns(self) -> dict:
         """``x, mean, mean_im, std_error, n_samples`` (SE omitted for 1 sample)."""
@@ -265,18 +264,18 @@ class McEstimate:
         columns["n_samples"] = np.full(self.x.size, self.n_samples)
         return columns
 
-    def to_csv(self, path) -> None:
-        """Write :meth:`columns` as a CSV."""
-        write_csv(path, self.columns())
 
+def _run_samples(per_sample, n_samples: int, workers: int | None, x: np.ndarray) -> McEstimate:
+    """Evaluate per_sample(i), one curve over ``x``, for i in range(n_samples).
 
-def _run_samples(per_sample, n_samples: int, workers: int | None):
-    """Evaluate per_sample(i) for i in range(n_samples) into index order.
-
-    Results are reduced in index order afterwards, so the outcome is
-    bit-identical no matter how many workers ran or how they were scheduled.
-    Failures are re-raised annotated with the offending sample index.
+    The curves are reduced in index order afterwards to a pointwise mean and
+    standard error, so the outcome is bit-identical no matter how many workers
+    ran or how they were scheduled. The variance is var(re) + var(im); for
+    real curves the second term is exactly 0. Failures are re-raised annotated
+    with the offending sample index.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
 
     def guarded(i):
         try:
@@ -296,20 +295,12 @@ def _run_samples(per_sample, n_samples: int, workers: int | None):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for i, res in enumerate(pool.map(guarded, range(n_samples))):
                 results[i] = res
-    return np.array(results)
-
-
-def _reduce(x: np.ndarray, curves: np.ndarray, n_samples: int, master_seed: int) -> McEstimate:
-    mean = curves.mean(axis=0)
+    curves = np.array(results)
+    se = None
     if n_samples >= 2:
-        if np.iscomplexobj(curves):
-            var = curves.real.var(axis=0, ddof=1) + curves.imag.var(axis=0, ddof=1)
-        else:
-            var = curves.var(axis=0, ddof=1)
+        var = curves.real.var(axis=0, ddof=1) + curves.imag.var(axis=0, ddof=1)
         se = np.sqrt(var / n_samples)
-    else:
-        se = None
-    return McEstimate(x, mean, se, n_samples, master_seed)
+    return McEstimate(x, curves.mean(axis=0), se, n_samples)
 
 
 def _operator_dim(model_spec) -> int:
@@ -356,7 +347,7 @@ _TREE_CHUNK = 48
 
 def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples: int,
            master_seed: int, broaden: float, estimator: str = "trace",
-           workers: int | None = None, cap: int = DENSE_CAP) -> McEstimate:
+           workers: int | None = None) -> McEstimate:
     """Disorder-averaged broadened local density of states on a grid.
 
     Per sample the spectrum is broadened with the Cauchy kernel of scale
@@ -364,14 +355,11 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
     "site" uses the single-site measure at the origin/root. Trees of any depth
-    take the leaf-to-root pivot sweep, so ``cap`` bounds lattices and
+    take the leaf-to-root pivot sweep, so DENSE_CAP bounds lattices and
     continuum meshes only.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if not (broaden > 0):
-        raise ValueError("broaden must be > 0 for density estimates; "
-                         "use ids_mc for raw IDS accumulation")
+        raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
     if estimator not in ("trace", "site"):
         raise ValueError(f"unknown estimator {estimator!r}")
     energies = grid.points
@@ -379,9 +367,9 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     dim = _operator_dim(model_spec)
     tree = isinstance(model_spec, TreeSpec)
     smear = CauchyKernel(broaden)
-    if dim > cap and not tree:
+    if dim > DENSE_CAP and not tree:
         raise CapExceededError(
-            f"dense eigensolve of n={dim} exceeds cap {cap}; use the charfn route"
+            f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; use the charfn route"
         )
 
     if tree:
@@ -399,7 +387,7 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
 
         def per_sample(i):
             sample = draw_sample(kernel, n_sites, master_seed, i)
-            values = eigvals_sym(build_operator(model_spec, sample), cap=cap)
+            values = eigvals_sym(build_operator(model_spec, sample))
             poisson = cauchy_density(smear, energies[:, None] - values[None, :])
             return poisson.sum(axis=1) / values.size
 
@@ -407,41 +395,36 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
 
         def per_sample(i):
             sample = draw_sample(kernel, n_sites, master_seed, i)
-            eig = eig_sym(build_operator(model_spec, sample), cap=cap)
+            eig = eig_sym(build_operator(model_spec, sample))
             poisson = cauchy_density(smear, energies[:, None] - eig.values[None, :])
             return poisson @ (eig.vectors[0] * eig.vectors[0])
 
-    curves = _run_samples(per_sample, n_samples, workers)
-    return _reduce(energies, curves, n_samples, master_seed)
+    return _run_samples(per_sample, n_samples, workers, energies)
 
 
 def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samples: int,
-           master_seed: int, workers: int | None = None,
-           cap: int = DENSE_CAP) -> McEstimate:
+           master_seed: int, workers: int | None = None) -> McEstimate:
     """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
 
     Counts are divided by the box volume: the bump count for continuum meshes,
     the site count otherwise.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     e_points = np.asarray(e_points, dtype=float)
     n_sites = site_count(model_spec)
-    if _operator_dim(model_spec) > cap:
+    if _operator_dim(model_spec) > DENSE_CAP:
         raise CapExceededError(
-            f"dense eigensolve of n={_operator_dim(model_spec)} exceeds cap {cap}; "
+            f"dense eigensolve of n={_operator_dim(model_spec)} exceeds cap {DENSE_CAP}; "
             "use the charfn route"
         )
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
 
     def per_sample(i):
         sample = draw_sample(kernel, n_sites, master_seed, i)
-        values = eigvals_sym(build_operator(model_spec, sample), cap=cap)
+        values = eigvals_sym(build_operator(model_spec, sample))
         # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
         return np.searchsorted(values, e_points, side="right") / volume
 
-    curves = _run_samples(per_sample, n_samples, workers)
-    return _reduce(e_points, curves, n_samples, master_seed)
+    return _run_samples(per_sample, n_samples, workers, e_points)
 
 
 def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_samples: int,
@@ -455,8 +438,6 @@ def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_sam
     the checks), and its cost does not depend on max|omega|. The t=0 entry is
     <phi, psi> exactly, with zero variance.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     times = t_grid.points
     n_sites = site_count(model_spec)
     dim = _operator_dim(model_spec)
@@ -467,5 +448,4 @@ def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_sam
         op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
         return krylov_charfn(op, phi_site, psi_site, times)[0]
 
-    curves = _run_samples(per_sample, n_samples, workers)
-    return _reduce(times, curves, n_samples, master_seed)
+    return _run_samples(per_sample, n_samples, workers, times)

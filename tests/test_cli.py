@@ -95,6 +95,22 @@ def test_zero_continuum_mesh_step_is_usage_error(tmp_path):
                     "--lambda", "1", "--samples", "2", "--broaden", "0.5",
                     "--grid", "0:1:0.5", "--out", str(tmp_path)], tmp_path)
     assert_usage_error(proc)
+    # a broadening that is not positive, NaN included, is refused the same way
+    for broaden in ("0", "-1", "nan"):
+        proc = run_cli(["sample", "--model", "lattice", "--size", "8", "--lambda", "1",
+                        "--samples", "2", "--broaden", broaden, "--grid", "0:1:0.5",
+                        "--out", str(tmp_path)], tmp_path)
+        assert_usage_error(proc)
+        assert "ids_mc" not in proc.stderr
+
+
+def test_malformed_grid_returns_usage_error_in_process(tmp_path, capsys):
+    # main returns 2 rather than raising SystemExit, so in-process callers see a code
+    for argv in (["exact", "--model", "lattice", "--lambda", "1", "--grid", "0:inf:0.5"],
+                 ["charfn", "--size", "8", "--samples", "2", "--lambda", "1",
+                  "--t-grid", "0:1"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from cauchydos.ensemble import (
     BumpFamily,
+    DisorderSample,
     LatticeBoxSpec,
     SymmetricOperator,
     TreeSpec,
@@ -147,8 +148,7 @@ def test_continuum_constant_coupling_is_exact_shift():
     bumps = BumpFamily(5, 0.1)
     base = np.linalg.eigvalsh(build_continuum(bumps, None).to_dense())
     c = 0.7319
-    shifted_sample = draw_sample(None, 5, 0, 0)
-    shifted_sample = type(shifted_sample)(np.full(5, c), 0, 0)
+    shifted_sample = DisorderSample(np.full(5, c))
     shifted = np.linalg.eigvalsh(build_continuum(bumps, shifted_sample).to_dense())
     assert np.max(np.abs(shifted - (base + c))) < 1e-11
 
@@ -165,7 +165,7 @@ def test_continuum_mesh_validation():
 
 def test_partition_of_unity_on_mesh():
     bumps = BumpFamily(7, 0.125)
-    ones = type(draw_sample(None, 7, 0, 0))(np.ones(7), 0, 0)
+    ones = DisorderSample(np.ones(7))
     v = continuum_potential(bumps, ones)
     assert np.max(np.abs(v - 1.0)) < 4e-16
     zero = continuum_potential(bumps, None)
@@ -177,7 +177,7 @@ def test_constant_shift_covariance_lattice_and_tree():
     for spec in (LatticeBoxSpec(1, 50, "periodic"), TreeSpec(2, 3)):
         n = site_count(spec)
         s = draw_sample(K1, n, 9, 1)
-        shifted = type(s)(s.omegas + c, 9, 1)
+        shifted = DisorderSample(s.omegas + c)
         base_vals = np.linalg.eigvalsh(build_operator(spec, s).to_dense())
         new_vals = np.linalg.eigvalsh(build_operator(spec, shifted).to_dense())
         assert np.max(np.abs(new_vals - (base_vals + c))) < 1e-12 * max(

@@ -16,7 +16,6 @@ from cauchydos.free_models import (
     exact_smoothed,
     lattice_box_charfn,
     lattice_dos_smoothed,
-    lattice_offdiag_charfn,
     truncated_tree_mean_stieltjes,
     truncated_tree_root_stieltjes,
     _BLOCK,
@@ -110,30 +109,35 @@ def test_bessel_sequence_matches_scalar():
         assert abs(seq[0] ** 2 + 2.0 * np.sum(seq[1:] ** 2) - 1.0) <= 1e-13
 
 
+def free_amplitude(d, offset, t, side=64):
+    """<delta_0, exp(itH0) delta_x> on Z^d, read off lattice_box_charfn on a box
+    wide enough that x is its own nearest periodic image."""
+    site = sum((x % side) * side ** j for j, x in enumerate(offset))
+    value = lattice_box_charfn(LatticeFreeModel(d), CauchyKernel(1.0), side, 0, site, [t])[0]
+    return value / math.exp(-abs(t))
+
+
 def test_lattice_free_charfn_values():
     # the diagonal free amplitude is J_0(2t)^d
-    assert lattice_offdiag_charfn(LatticeFreeModel(3), [0, 0, 0], 0.0) == 1.0
-    assert lattice_offdiag_charfn(LatticeFreeModel(2), [0, 0], 0.5) == pytest.approx(
-        0.58552749951366402, abs=1e-12)
-    assert abs(lattice_offdiag_charfn(LatticeFreeModel(1), [0], J0_FIRST_ZERO / 2.0)) < 1e-12
+    assert free_amplitude(3, [0, 0, 0], 0.0) == 1.0
+    assert free_amplitude(2, [0, 0], 0.5) == pytest.approx(0.58552749951366402, abs=1e-12)
+    assert abs(free_amplitude(1, [0], J0_FIRST_ZERO / 2.0)) < 1e-12
 
 
 def test_lattice_offdiag_reduces_to_diagonal():
-    m = LatticeFreeModel(2)
     for t in (0.0, 0.7, 2.3):
-        assert lattice_offdiag_charfn(m, [0, 0], t) == pytest.approx(
-            j0(2.0 * t) ** 2, abs=1e-13)
+        assert free_amplitude(2, [0, 0], t) == pytest.approx(j0(2.0 * t) ** 2, abs=1e-13)
 
 
 def test_lattice_offdiag_values():
-    m = LatticeFreeModel(1)
-    assert lattice_offdiag_charfn(m, [1], 0.0) == 0.0
-    val = lattice_offdiag_charfn(m, [1], 0.5)
+    assert free_amplitude(1, [1], 0.0) == 0.0
+    val = free_amplitude(1, [1], 0.5)
     assert val == pytest.approx(1j * 0.44005058574493352, abs=1e-12)
     # negative offsets give the same amplitude on the symmetric lattice
-    assert lattice_offdiag_charfn(m, [-1], 0.5) == pytest.approx(val, abs=1e-14)
+    assert free_amplitude(1, [-1], 0.5) == pytest.approx(val, abs=1e-14)
+    # a site outside the box has no offset
     with pytest.raises(ValueError):
-        lattice_offdiag_charfn(m, [1, 2], 0.5)
+        lattice_box_charfn(LatticeFreeModel(1), CauchyKernel(1.0), 64, 0, 64, [0.5])
 
 
 def test_lattice_offdiag_matches_ring_eigendecomposition():
@@ -143,10 +147,9 @@ def test_lattice_offdiag_matches_ring_eigendecomposition():
 
     L = 64
     eig = eig_sym(build_lattice(LatticeBoxSpec(1, L, "periodic"), None))
-    m = LatticeFreeModel(1)
     for x, t in ((0, 1.5), (1, 1.5), (3, 2.5)):
         amp = np.sum(np.exp(1j * t * eig.values) * eig.vectors[0, :] * eig.vectors[x, :])
-        assert lattice_offdiag_charfn(m, [x], t) == pytest.approx(amp, abs=1e-10)
+        assert free_amplitude(1, [x], t, side=L) == pytest.approx(amp, abs=1e-10)
 
 
 def test_lattice_dos_closed_forms():
@@ -224,7 +227,7 @@ def test_kesten_mckay_values_and_support():
 def test_kesten_mckay_normalizes():
     for K in (2, 3):
         b = BetheFreeModel(K)
-        r = b.band_edge
+        r = 2.0 * math.sqrt(K)
         total, _ = quad(lambda e: kesten_mckay_density(b, e), -r, r, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -18,8 +18,9 @@ from cauchydos.ensemble import (
 )
 from cauchydos.errors import CapExceededError, EnclosureError
 from cauchydos.free_models import lattice_dos_smoothed, LatticeFreeModel
-from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density
+from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, write_csv
 from cauchydos.spectra import (
+    DENSE_CAP,
     McEstimate,
     _tree_green_diagonals,
     charfn_mc,
@@ -81,11 +82,13 @@ def test_eig_periodic_box_spectrum_enumeration():
 
 
 def test_eig_cap():
-    op = random_sparse_symmetric(20, 0)
+    # the cap is checked before the matrix is densified or solved
+    n = DENSE_CAP + 1
+    op = SymmetricOperator(n, np.arange(n), np.arange(n), np.zeros(n))
     with pytest.raises(CapExceededError):
-        eig_sym(op, cap=10)
+        eig_sym(op)
     with pytest.raises(CapExceededError):
-        eigvals_sym(op, cap=10)
+        eigvals_sym(op)
 
 
 @pytest.mark.parametrize("spec", [
@@ -410,8 +413,11 @@ def test_dos_mc_tree_recursion_equals_dense_route():
         assert np.max(np.abs(trace.mean - np.mean(trace_curves, axis=0))) < 1e-12
         site = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site")
         assert np.max(np.abs(site.mean - np.mean(site_curves, axis=0))) < 1e-12
-        # the dense cap does not apply to trees
-        assert np.array_equal(dos_mc(spec, K1, grid, 3, 9, eta, cap=10).mean, trace.mean)
+    # the dense cap does not apply to trees
+    big = TreeSpec(2, 11)
+    assert big.n_vertices > DENSE_CAP
+    one = dos_mc(big, K1, EnergyGrid(0.0, 0.0, 1.0), 1, 9, eta)
+    assert one.mean.shape == (1,) and 0.0 < one.mean[0] < np.inf
 
 
 def test_dos_mc_depth_zero_tree_is_pure_cauchy():
@@ -458,14 +464,14 @@ def test_ids_mc_free_single_sample_matches_direct_count():
 
 
 def test_mc_estimate_csv_single_sample_drops_se(tmp_path):
-    est = McEstimate(np.array([0.0, 1.0]), np.array([1.0, 2.0]), None, 1, 0)
+    est = McEstimate(np.array([0.0, 1.0]), np.array([1.0, 2.0]), None, 1)
     p = tmp_path / "est.csv"
-    est.to_csv(p)
+    write_csv(p, est.columns())
     lines = p.read_text().splitlines()
     assert lines[0] == "x,mean,mean_im,n_samples"
-    est2 = McEstimate(np.array([0.0]), np.array([1.0 + 2.0j]), np.array([0.1]), 3, 0)
+    est2 = McEstimate(np.array([0.0]), np.array([1.0 + 2.0j]), np.array([0.1]), 3)
     p2 = tmp_path / "est2.csv"
-    est2.to_csv(p2)
+    write_csv(p2, est2.columns())
     lines2 = p2.read_text().splitlines()
     assert lines2[0] == "x,mean,mean_im,std_error,n_samples"
     assert lines2[1] == "0,1,2,0.1,3"
@@ -477,8 +483,9 @@ def test_sample_failure_is_annotated():
     grid = EnergyGrid(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match=r"\[sample 0\]"):
         dos_mc(spec, K1, grid, 2, -3, 0.1)
+    # a ring of DENSE_CAP + 1 sites is refused before any sample is drawn
     with pytest.raises(CapExceededError):
-        dos_mc(spec, K1, grid, 2, 0, 0.1, cap=15)
+        dos_mc(LatticeBoxSpec(1, DENSE_CAP + 1), K1, grid, 2, 0, 0.1)
 
 
 def test_solver_error_digest_is_the_same_in_every_process():
