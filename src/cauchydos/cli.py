@@ -9,7 +9,6 @@ additionally records wall time.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
@@ -22,7 +21,7 @@ from . import free_models as fm
 from .checks import CHECK_NAMES, run_check
 from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec
 from .errors import CapExceededError
-from .measures import CauchyKernel, EnergyGrid, window_tail_mass, write_csv
+from .measures import CauchyKernel, EnergyGrid, window_tail_mass, write_csv, write_json
 from .spectra import charfn_mc, dos_mc
 
 EXIT_OK = 0
@@ -33,7 +32,7 @@ EXIT_CAP = 3
 
 def _write_manifest(out_dir: Path, stem: str, subcommand: str, parameters: dict,
                     master_seed, outputs: list[str], wall_time: float) -> None:
-    manifest = {
+    write_json(out_dir / f"{stem}_manifest.json", {
         "artifact": "cauchydos",
         "version": __version__,
         "subcommand": subcommand,
@@ -41,11 +40,7 @@ def _write_manifest(out_dir: Path, stem: str, subcommand: str, parameters: dict,
         "master_seed": master_seed,
         "outputs": outputs,
         "wall_time_s": wall_time,
-    }
-    path = out_dir / f"{stem}_manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _emit(args, stem: str, columns: dict, parameters: dict, master_seed, t0: float) -> int:
@@ -87,18 +82,19 @@ def _cmd_exact(args) -> int:
 
 
 def _model_spec_from_args(args):
+    """The sample's operator spec and the manifest fields that name it."""
     if args.model == "lattice":
-        return LatticeBoxSpec(args.dim, args.size, "periodic")
+        return LatticeBoxSpec(args.dim, args.size, "periodic"), {"dim": args.dim, "size": args.size}
     if args.model == "bethe":
-        return TreeSpec(args.k, args.depth)
-    return BumpFamily(args.size, args.h)
+        return TreeSpec(args.k, args.depth), {"k": args.k, "depth": args.depth}
+    return BumpFamily(args.size, args.h), {"size": args.size, "h": args.h}
 
 
 def _cmd_sample(args) -> int:
     t0 = time.perf_counter()
     grid = EnergyGrid.parse(args.grid)
     kernel = CauchyKernel(args.lam)
-    spec = _model_spec_from_args(args)
+    spec, model_fields = _model_spec_from_args(args)
     if args.compare_exact and args.model == "continuum":
         return _usage_error("--compare-exact supports lattice and bethe models")
 
@@ -115,13 +111,8 @@ def _cmd_sample(args) -> int:
 
     params = {"model": args.model, "lambda": args.lam, "samples": args.samples,
               "broaden": args.broaden, "grid": [grid.e_min, grid.e_max, grid.step],
-              "estimator": args.estimator, "compare_exact": bool(args.compare_exact)}
-    if args.model == "lattice":
-        params.update({"dim": args.dim, "size": args.size})
-    elif args.model == "bethe":
-        params.update({"k": args.k, "depth": args.depth})
-    else:
-        params.update({"size": args.size, "h": args.h})
+              "estimator": args.estimator, "compare_exact": bool(args.compare_exact),
+              **model_fields}
     return _emit(args, f"sample_{args.model}", columns, params, args.seed, t0)
 
 
@@ -129,10 +120,8 @@ def _exact_reference(args, grid: EnergyGrid) -> np.ndarray:
     total = CauchyKernel(args.lam + args.broaden)
     if args.model == "lattice":
         return fm.exact_smoothed(fm.LatticeFreeModel(args.dim), total, grid.points)
-    z = grid.points + 1j * total.lam
-    if args.estimator == "trace":
-        return fm.truncated_tree_mean_stieltjes(args.k, args.depth, z).imag / np.pi
-    return fm.truncated_tree_root_stieltjes(args.k, args.depth, z).imag / np.pi
+    root, mean = fm.truncated_tree_stieltjes(args.k, args.depth, grid.points + 1j * total.lam)
+    return (mean if args.estimator == "trace" else root).imag / np.pi
 
 
 def _cmd_charfn(args) -> int:
@@ -173,8 +162,7 @@ def _cmd_check(args) -> int:
     for name in names:
         report = run_check(name, seed=args.seed, threshold_override=args.force_threshold)
         path = out_dir / f"check_{name}.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
+        write_json(path, report.to_json_dict())
         written.append(path.name)
         print(report.table_row())
         all_passed = all_passed and report.passed

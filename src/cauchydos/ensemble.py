@@ -192,6 +192,17 @@ def _check_sample(sample: DisorderSample | None, count: int) -> np.ndarray:
     return sample.omegas
 
 
+def _with_diagonal(rows: list, cols: list, hopping: float,
+                   diagonal: np.ndarray) -> SymmetricOperator:
+    """Each bond block (rows[k], cols[k]) at ``hopping``, then ``diagonal``; this
+    order of the triples fixes the summation order of ``to_csr``."""
+    n = diagonal.size
+    rows = np.concatenate([*rows, np.arange(n)])
+    cols = np.concatenate([*cols, np.arange(n)])
+    vals = np.concatenate([np.full(rows.size - n, hopping), diagonal])
+    return SymmetricOperator(n, rows, cols, vals)
+
+
 def build_lattice(spec: LatticeBoxSpec, sample: DisorderSample | None = None) -> SymmetricOperator:
     """Nearest-neighbor hopping 1 on the box, disorder on the diagonal.
 
@@ -214,12 +225,7 @@ def build_lattice(spec: LatticeBoxSpec, sample: DisorderSample | None = None) ->
             rows.append(r)
             cols.append(c)
         stride *= L
-    rows.append(idx)
-    cols.append(idx)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate([np.ones(rows.size - n), omegas])
-    return SymmetricOperator(n, rows, cols, vals)
+    return _with_diagonal(rows, cols, 1.0, omegas)
 
 
 def build_tree(spec: TreeSpec, sample: DisorderSample | None = None) -> SymmetricOperator:
@@ -238,13 +244,7 @@ def build_tree(spec: TreeSpec, sample: DisorderSample | None = None) -> Symmetri
         per = sizes[level + 1] // sizes[level]
         rows.append(np.repeat(parents, per))
         cols.append(children)
-    n = spec.n_vertices
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate([np.ones(rows.size - n), omegas])
-    return SymmetricOperator(n, rows, cols, vals)
+    return _with_diagonal(rows, cols, 1.0, omegas)
 
 
 def continuum_potential(bumps: BumpFamily, sample: DisorderSample | None = None) -> np.ndarray:
@@ -266,17 +266,10 @@ def build_continuum(bumps: BumpFamily, sample: DisorderSample | None = None) -> 
     Stencil 2/h^2 on the diagonal and -1/h^2 on the neighbors, wrapped.
     """
     v = continuum_potential(bumps, sample)
-    n = bumps.n_mesh
     h2 = bumps.h * bumps.h
-    idx = np.arange(n)
-    nbr_rows = idx
-    nbr_cols = (idx + 1) % n
-    r = np.minimum(nbr_rows, nbr_cols)
-    c = np.maximum(nbr_rows, nbr_cols)
-    rows = np.concatenate([r, idx])
-    cols = np.concatenate([c, idx])
-    vals = np.concatenate([np.full(n, -1.0 / h2), 2.0 / h2 + v])
-    return SymmetricOperator(n, rows, cols, vals)
+    idx = np.arange(bumps.n_mesh)
+    nbr = (idx + 1) % bumps.n_mesh
+    return _with_diagonal([np.minimum(idx, nbr)], [np.maximum(idx, nbr)], -1.0 / h2, 2.0 / h2 + v)
 
 
 def site_count(spec) -> int:

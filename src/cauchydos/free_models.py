@@ -22,9 +22,8 @@ time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
 evaluated as a Laplace transform at lam -+ iE on shared Gauss-Legendre
 nodes: blocks of panels factor exp(-zeta t) into a block phase times an
-in-block factor, so the node sum is one matrix product. Scalar Bessel values
-come from ``scipy.special``; the Miller sweep ``bessel_j_sequence`` gives the whole
-coefficient sequence the Chebyshev propagator needs.
+in-block factor, so the node sum is one matrix product. Bessel values come
+from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -36,20 +35,18 @@ import numpy as np
 from scipy.special import j0, jv
 
 from .errors import OutsideStripError
-from .measures import CauchyKernel
+from .measures import MAX_GRID_POINTS, CauchyKernel
 
 __all__ = [
     "BetheFreeModel",
     "ContinuumFreeModel",
     "LatticeFreeModel",
     "bessel_j",
-    "bessel_j_sequence",
     "continuum_free_ids",
     "exact_smoothed",
     "lattice_box_charfn",
     "lattice_dos_smoothed",
-    "truncated_tree_mean_stieltjes",
-    "truncated_tree_root_stieltjes",
+    "truncated_tree_stieltjes",
 ]
 
 TRUNCATION_EPS = 1e-14
@@ -137,8 +134,10 @@ def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarr
 
     T follows from the strip margin lam - max|Im E| so that the discarded tail
     is below 1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider
-    than the fastest oscillation allows, grouped in blocks of ``_GROUP``
-    panels, so every node is t = tau_b + s_k. The integral is the Laplace sum
+    than the fastest oscillation allows, so their count grows with T and
+    max|Re E|; past MAX_GRID_POINTS nodes ValueError is raised before anything
+    is allocated. Panels are grouped in blocks of ``_GROUP``, so every node is
+    t = tau_b + s_k. The integral is the Laplace sum
     L(zeta) = sum_t w_t J_0(2t)^d exp(-zeta t) as p = (L(lam - iE) + L(lam + iE))
     / (2 pi), i.e. Re L(lam - iE) / pi for real E. As exp(-zeta t) =
     exp(-zeta tau_b) exp(-zeta s_k), the node sum is one matrix product with
@@ -149,11 +148,14 @@ def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarr
     e = np.asarray(energies)
     margin = lam - np.max(np.abs(e.imag), initial=0.0)
     tmax = -math.log(TRUNCATION_EPS) / margin
-    max_freq = np.max(np.abs(e.real), initial=0.0) + 2.0 * d
-    n_panels = int(math.ceil(tmax / min(0.5, 8.0 / max(max_freq, 1.0))))
+    e_max = float(np.max(np.abs(e.real), initial=0.0))
+    n_panels = int(math.ceil(tmax / min(0.5, 8.0 / max(e_max + 2.0 * d, 1.0))))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    if nodes.size * n_panels > MAX_GRID_POINTS:
+        raise ValueError(f"the d={d} time integral at max|E| = {e_max:g} (strip margin "
+                         f"{margin:g}) needs {nodes.size * n_panels} nodes > {MAX_GRID_POINTS}")
     n_blocks = -(-n_panels // _GROUP)
     h = tmax / n_panels
-    nodes, weights = np.polynomial.legendre.leggauss(16)
     s = (h * (np.arange(_GROUP)[:, None] + 0.5 * (1.0 + nodes))).ravel()
     tau = h * _GROUP * np.arange(n_blocks)
     # panels past tmax only pad the last block and carry weight 0
@@ -182,44 +184,6 @@ def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind and lattice free amplitudes.
 # ---------------------------------------------------------------------------
-
-
-def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
-    """J_0(x), ..., J_nmax(x) for x >= 0 by one downward Miller sweep.
-
-    Normalized with J_0 + 2 sum_k J_{2k} = 1; rescaled on the fly to avoid
-    overflow of the unnormalized recurrence.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    if x < 0:
-        raise ValueError("bessel_j_sequence requires x >= 0")
-    out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    top = max(nmax, int(math.ceil(x)))
-    start = top + 1 + int(math.ceil(math.sqrt(40.0 * top)))
-    if start % 2:
-        start += 1
-    fp = 0.0
-    f = 1e-300
-    even_sum = 0.0
-    for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp, f = f, fm
-        idx = m - 1
-        if idx <= nmax:
-            out[idx] = fm
-        if idx > 0 and idx % 2 == 0:
-            even_sum += 2.0 * fm
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            even_sum *= 1e-250
-            out *= 1e-250
-    norm = f + even_sum  # f now holds the unnormalized J_0
-    return out / norm
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -258,41 +222,25 @@ def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
 # ---------------------------------------------------------------------------
 
 
-def truncated_tree_root_stieltjes(K: int, depth: int, z):
-    """Stieltjes transform at the root of the depth-truncated (K+1)-regular tree.
-
-    Continued fraction built leaves-up: s_0 = -1/z, s_h = 1/(-z - K s_{h-1}),
-    root value 1/(-z - (K+1) s_{depth-1}). Valid for Im z > 0.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("truncated_tree_root_stieltjes requires Im z > 0")
-    if depth == 0:
-        return -1.0 / z
-    s = -1.0 / z
-    for _ in range(1, depth):
-        s = 1.0 / (-z - K * s)
-    return 1.0 / (-z - (K + 1) * s)
-
-
-def truncated_tree_mean_stieltjes(K: int, depth: int, z):
-    """Vertex-averaged Stieltjes transform of the depth-truncated tree.
+def truncated_tree_stieltjes(K: int, depth: int, z):
+    """Root and vertex-averaged Stieltjes transforms of the depth-truncated tree.
 
     The leaf-to-root LDL^T sweep of H - z with every vertex of a level sharing
     one pivot d_l and its z-derivative d'_l: leaves d = -z, d' = -1; a vertex
     with c children d = -z - c/d_child, d' = -1 + c d'_child/d_child^2. The
-    trace is the log-determinant derivative -sum_l count_l d'_l/d_l.
+    root transform is 1/d_root; the trace is the log-determinant derivative
+    -sum_l count_l d'_l/d_l. Valid for Im z > 0. Returns (root, mean).
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
-        raise ValueError("truncated_tree_mean_stieltjes requires Im z > 0")
+        raise ValueError("truncated_tree_stieltjes requires Im z > 0")
     d, slope, trace = -z, -1.0, 0.0
     for level in range(depth, 0, -1):
         children = K + 1 if level == 1 else K
         trace = trace - (K + 1) * K ** (level - 1) * slope / d
         d, slope = -z - children / d, -1.0 + children * slope / d**2
     trace = trace - slope / d
-    return trace / (1 + (K + 1) * (K ** depth - 1) // (K - 1))
+    return 1.0 / d, trace / (1 + (K + 1) * (K ** depth - 1) // (K - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The Cauchy kernel, uniform energy grids, grid convolution and the CSV writer.
+"""The Cauchy kernel, uniform energy grids, grid convolution and the file writers.
 
 The Cauchy (Lorentzian) density of scale ``lam`` is
 
@@ -12,6 +12,7 @@ on a uniform grid by the trapezoid rule.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,11 @@ __all__ = [
     "grid_convolve",
     "window_tail_mass",
     "write_csv",
+    "write_json",
 ]
 
-# the largest grid any check, test or workload uses has 12,001 points
+# the largest grid any check, test or workload uses has 12,001 points; the d >= 2
+# exact curve's time integral takes at most this many nodes too
 MAX_GRID_POINTS = 10**7
 CSV_FLOAT = "%.12g"
 
@@ -41,6 +44,13 @@ def write_csv(path, columns: dict) -> None:
         fh.write(",".join(columns) + "\n")
         for values in zip(*(np.asarray(c).tolist() for c in columns.values())):
             fh.write(row % values)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON: indent 2, sorted keys, UTF-8, LF line ends, trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

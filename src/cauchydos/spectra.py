@@ -4,8 +4,8 @@ Two independent experimental routes are provided: an energy-domain one built
 on eigendecomposition (on trees, on a leaf-to-root sweep over the LDL^T
 pivots of H - z), and a time-domain one built on a Lanczos (Krylov)
 propagator for exp(itH). A bug in either is caught by disagreement with the
-exact curves. The Chebyshev expansion of exp(itH) stays as an independent
-time-domain cross-check of the Lanczos propagator.
+exact curves of ``free_models``, which nothing here imports. The Chebyshev
+expansion of exp(itH) cross-checks the Lanczos propagator.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .ensemble import (
     tree_level_sizes,
 )
 from .errors import CapExceededError, EnclosureError, SolverError
-from .free_models import bessel_j_sequence
 from .measures import CauchyKernel, EnergyGrid, cauchy_density
 
 __all__ = [
     "DENSE_CAP",
     "EigenDecomposition",
     "McEstimate",
+    "bessel_j_sequence",
     "charfn_mc",
     "chebyshev_evolve",
     "dos_mc",
@@ -118,6 +118,41 @@ def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chebyshev time evolution.
 # ---------------------------------------------------------------------------
+
+
+def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_nmax(x) for x >= 0 by one downward Miller sweep.
+
+    Normalized with J_0 + 2 sum_k J_{2k} = 1; rescaled on the fly to avoid
+    overflow of the unnormalized recurrence.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    if x < 0:
+        raise ValueError("bessel_j_sequence requires x >= 0")
+    out = np.zeros(nmax + 1)
+    if x == 0.0:
+        out[0] = 1.0
+        return out
+    top = max(nmax, int(math.ceil(x)))
+    start = top + 1 + int(math.ceil(math.sqrt(40.0 * top)))
+    start += start % 2
+    fp, f, even_sum = 0.0, 1e-300, 0.0
+    for m in range(start, 0, -1):
+        fm = (2.0 * m / x) * f - fp
+        fp, f = f, fm
+        idx = m - 1
+        if idx <= nmax:
+            out[idx] = fm
+        if idx > 0 and idx % 2 == 0:
+            even_sum += 2.0 * fm
+        if abs(f) > 1e250:
+            f *= 1e-250
+            fp *= 1e-250
+            even_sum *= 1e-250
+            out *= 1e-250
+    norm = f + even_sum  # f now holds the unnormalized J_0
+    return out / norm
 
 
 def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
@@ -265,7 +300,7 @@ class McEstimate:
         return columns
 
 
-def _run_samples(per_sample, n_samples: int, workers: int | None, x: np.ndarray) -> McEstimate:
+def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray) -> McEstimate:
     """Evaluate per_sample(i), one curve over ``x``, for i in range(n_samples).
 
     The curves are reduced in index order afterwards to a pointwise mean and
@@ -286,7 +321,6 @@ def _run_samples(per_sample, n_samples: int, workers: int | None, x: np.ndarray)
             except TypeError:
                 raise RuntimeError(f"[sample {i}] {exc}") from exc
 
-    workers = worker_count() if workers is None else max(1, workers)
     results = [None] * n_samples
     if workers == 1 or n_samples == 1:
         for i in range(n_samples):
@@ -308,6 +342,15 @@ def _operator_dim(model_spec) -> int:
     if isinstance(model_spec, BumpFamily):
         return model_spec.n_mesh
     return site_count(model_spec)
+
+
+def _refuse_above_dense_cap(model_spec) -> None:
+    """Refuse a spec whose operator a dense solve cannot take, before any sample is drawn."""
+    dim = _operator_dim(model_spec)
+    if dim > DENSE_CAP:
+        raise CapExceededError(
+            f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; use the charfn route"
+        )
 
 
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
@@ -346,8 +389,7 @@ _TREE_CHUNK = 48
 
 
 def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples: int,
-           master_seed: int, broaden: float, estimator: str = "trace",
-           workers: int | None = None) -> McEstimate:
+           master_seed: int, broaden: float, estimator: str = "trace") -> McEstimate:
     """Disorder-averaged broadened local density of states on a grid.
 
     Per sample the spectrum is broadened with the Cauchy kernel of scale
@@ -364,13 +406,10 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
         raise ValueError(f"unknown estimator {estimator!r}")
     energies = grid.points
     n_sites = site_count(model_spec)
-    dim = _operator_dim(model_spec)
     tree = isinstance(model_spec, TreeSpec)
     smear = CauchyKernel(broaden)
-    if dim > DENSE_CAP and not tree:
-        raise CapExceededError(
-            f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; use the charfn route"
-        )
+    if not tree:
+        _refuse_above_dense_cap(model_spec)
 
     if tree:
         z = energies + 1j * broaden
@@ -399,11 +438,11 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
             poisson = cauchy_density(smear, energies[:, None] - eig.values[None, :])
             return poisson @ (eig.vectors[0] * eig.vectors[0])
 
-    return _run_samples(per_sample, n_samples, workers, energies)
+    return _run_samples(per_sample, n_samples, worker_count(), energies)
 
 
 def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samples: int,
-           master_seed: int, workers: int | None = None) -> McEstimate:
+           master_seed: int) -> McEstimate:
     """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
 
     Counts are divided by the box volume: the bump count for continuum meshes,
@@ -411,11 +450,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     """
     e_points = np.asarray(e_points, dtype=float)
     n_sites = site_count(model_spec)
-    if _operator_dim(model_spec) > DENSE_CAP:
-        raise CapExceededError(
-            f"dense eigensolve of n={_operator_dim(model_spec)} exceeds cap {DENSE_CAP}; "
-            "use the charfn route"
-        )
+    _refuse_above_dense_cap(model_spec)
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
 
     def per_sample(i):
@@ -424,12 +459,11 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
         # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
         return np.searchsorted(values, e_points, side="right") / volume
 
-    return _run_samples(per_sample, n_samples, workers, e_points)
+    return _run_samples(per_sample, n_samples, worker_count(), e_points)
 
 
 def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_samples: int,
-              master_seed: int, phi_site: int = 0, psi_site: int = 0,
-              workers: int | None = None) -> McEstimate:
+              master_seed: int, phi_site: int = 0, psi_site: int = 0) -> McEstimate:
     """Disorder average of <phi, exp(itH) psi> on a uniform t-grid.
 
     Each sample takes one Lanczos run from psi for the whole grid
@@ -448,4 +482,4 @@ def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_sam
         op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
         return krylov_charfn(op, phi_site, psi_site, times)[0]
 
-    return _run_samples(per_sample, n_samples, workers, times)
+    return _run_samples(per_sample, n_samples, worker_count(), times)

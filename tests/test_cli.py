@@ -113,6 +113,14 @@ def test_malformed_grid_returns_usage_error_in_process(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_exact_time_integral_past_the_node_cap_is_usage_error(tmp_path, capsys):
+    rc = main(["exact", "--model", "lattice", "--dim", "2", "--lambda", "1",
+               "--grid", "0:2e5:1e5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

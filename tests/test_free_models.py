@@ -11,18 +11,17 @@ from cauchydos.free_models import (
     ContinuumFreeModel,
     LatticeFreeModel,
     bessel_j,
-    bessel_j_sequence,
     continuum_free_ids,
     exact_smoothed,
     lattice_box_charfn,
     lattice_dos_smoothed,
-    truncated_tree_mean_stieltjes,
-    truncated_tree_root_stieltjes,
+    truncated_tree_stieltjes,
     _BLOCK,
     _GROUP,
     _lattice_time_integral,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid, window_tail_mass
+from cauchydos.spectra import bessel_j_sequence
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -281,25 +280,26 @@ def test_truncated_tree_transforms_match_dense_eigensolve():
     z = np.array([0.3 + 0.5j, -1.2 + 0.25j, 2.0 + 1.0j])
     weights = eig.vectors[0] ** 2
     root_direct = np.array([np.sum(weights / (eig.values - zz)) for zz in z])
-    assert np.max(np.abs(truncated_tree_root_stieltjes(K, depth, z) - root_direct)) < 1e-12
+    root, mean = truncated_tree_stieltjes(K, depth, z)
+    assert np.max(np.abs(root - root_direct)) < 1e-12
     mean_direct = np.array(
         [np.mean(1.0 / (eig.values - zz)) for zz in z])
     # mean over the diagonal equals the eigenvalue average by the trace
-    assert np.max(np.abs(truncated_tree_mean_stieltjes(K, depth, z) - mean_direct)) < 1e-12
+    assert np.max(np.abs(mean - mean_direct)) < 1e-12
 
 
 def test_truncated_tree_requires_upper_half_plane():
     with pytest.raises(ValueError):
-        truncated_tree_root_stieltjes(2, 3, 1.0 + 0j)
+        truncated_tree_stieltjes(2, 3, 1.0 + 0j)
     with pytest.raises(ValueError):
-        truncated_tree_mean_stieltjes(2, 3, np.array([1j, -1j]))
+        truncated_tree_stieltjes(2, 3, np.array([1j, -1j]))
 
 
 def test_truncated_tree_converges_to_kesten_mckay():
     b = BetheFreeModel(2)
     k = CauchyKernel(1.0)
     z = 0.5 + 1j * k.lam
-    deep = truncated_tree_root_stieltjes(2, 28, z).imag / math.pi
+    deep = truncated_tree_stieltjes(2, 28, z)[0].imag / math.pi
     assert deep == pytest.approx(exact_smoothed(b, k, 0.5), abs=1e-3)
 
 
@@ -308,7 +308,7 @@ def test_depth_fourteen_free_root_close_to_kesten_mckay():
     # on the interior window |E| <= 2.5
     grid = EnergyGrid(-2.5, 2.5, 0.02)
     z = grid.points + 0.5j
-    root = truncated_tree_root_stieltjes(2, 14, z).imag / math.pi
+    root = truncated_tree_stieltjes(2, 14, z)[0].imag / math.pi
     km = exact_smoothed(BetheFreeModel(2), CauchyKernel(0.5), grid.points)
     assert np.max(np.abs(root - km)) <= 0.01
 
@@ -511,6 +511,19 @@ def test_exact_smoothed_outside_strip_raises_for_every_model():
             exact_smoothed(model, k, np.array([0.1 + 0.2j, 0.3 + 0.5j]))
         assert isinstance(exact_smoothed(model, k, 0.3 + 0.2j), complex)
         assert isinstance(exact_smoothed(model, k, 0.3), float)
+
+
+def test_time_integral_refuses_node_counts_past_the_grid_cap():
+    # the d >= 2 node count grows with max|E| and with 1/(lam - |Im E|); both are
+    # refused before any node is allocated rather than growing memory without bound
+    k = CauchyKernel(1.0)
+    with pytest.raises(ValueError, match=r"max\|E\| = 200000"):
+        exact_smoothed(LatticeFreeModel(2), k, 2e5)
+    with pytest.raises(ValueError, match="margin 1e-05"):
+        exact_smoothed(LatticeFreeModel(3), k, 0.5 + 0.99999j)
+    # the closed forms cost the same at any energy
+    for model in (LatticeFreeModel(1), BetheFreeModel(2), ContinuumFreeModel()):
+        assert math.isfinite(exact_smoothed(model, k, 1e9))
 
 
 def test_lattice_box_charfn_uses_nearest_periodic_image():

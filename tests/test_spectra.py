@@ -225,11 +225,13 @@ def test_charfn_mc_free_ring_close_to_infinite_lattice():
     assert np.max(np.abs(est.mean - exact)) <= 2e-2
 
 
-def test_charfn_mc_worker_count_bit_identical():
+def test_charfn_mc_worker_count_bit_identical(monkeypatch):
     spec = LatticeBoxSpec(1, 48, "periodic")
     grid = EnergyGrid(0.0, 2.0, 0.25)
-    a = charfn_mc(spec, K1, grid, 8, 3, workers=1)
-    b = charfn_mc(spec, K1, grid, 8, 3, workers=3)
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
+    a = charfn_mc(spec, K1, grid, 8, 3)
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "3")
+    b = charfn_mc(spec, K1, grid, 8, 3)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std_error, b.std_error)
 
@@ -440,11 +442,13 @@ def test_tree_green_depth_zero_single_site():
     assert out[0] == pytest.approx(expected[0], abs=1e-15)
 
 
-def test_dos_mc_deterministic_across_runs_and_workers():
+def test_dos_mc_deterministic_across_runs_and_workers(monkeypatch):
     grid = EnergyGrid(-2.0, 2.0, 0.25)
     for spec in (LatticeBoxSpec(1, 48, "periodic"), TreeSpec(2, 6)):
-        a = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=1)
-        b = dos_mc(spec, K1, grid, 12, 4, 0.3, workers=2)
+        monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
+        a = dos_mc(spec, K1, grid, 12, 4, 0.3)
+        monkeypatch.setenv("CAUCHYDOS_THREADS", "2")
+        b = dos_mc(spec, K1, grid, 12, 4, 0.3)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.std_error, b.std_error)
 
