@@ -26,8 +26,8 @@ from .free_models import (
     ContinuumFreeModel,
     LatticeFreeModel,
     bessel_j,
-    continuum_free_ids,
     exact_smoothed,
+    free_stieltjes,
     lattice_dos_smoothed,
 )
 from .measures import (

@@ -11,16 +11,17 @@ By the Lloyd identity every Cauchy-smoothed curve is (1/pi) Im m(E + i*lam),
 where m(z) = int dmu(x) / (x - z) is the Stieltjes transform of the free
 measure. Inside the strip |Im E| < lam it continues analytically as
 
-    p(E) = (m(E + i*lam) - m(E - i*lam)) / (2*pi*i).
+    p(E) = (m(E + i*lam) - conj(m(conj(E) + i*lam))) / (2*pi*i).
 
-``exact_smoothed`` is the one evaluator. It uses closed forms where they
-exist: the Kesten-McKay transform (the chain Z is its K = 1 case) and the
-continuum IDS Re sqrt(E + i*lam) / pi. The d >= 2 lattice keeps the
-time-domain integral of the diagonal free amplitude J_0(2t)^d,
+``free_stieltjes`` is the one transform per model and ``exact_smoothed`` the
+one formula over it. Closed forms are used where they exist: the
+Kesten-McKay transform (the chain Z is its K = 1 case), the arithmetic-
+geometric mean of Z^2 and i*sqrt(z) for the continuum IDS. Z^d with d >= 3
+keeps the time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
-    p(E) = (1/pi) * int_0^inf exp(-lam t) cos(E t) J_0(2t)^d dt,
+    m(z) = i * int_0^inf exp(i z t) J_0(2t)^d dt,
 
-evaluated as a Laplace transform at lam -+ iE on shared Gauss-Legendre
+evaluated as a Laplace transform at zeta = -i z on shared Gauss-Legendre
 nodes: blocks of panels factor exp(-zeta t) into a block phase times an
 in-block factor, so the node sum is one matrix product. Bessel values come
 from ``scipy.special``.
@@ -42,8 +43,8 @@ __all__ = [
     "ContinuumFreeModel",
     "LatticeFreeModel",
     "bessel_j",
-    "continuum_free_ids",
     "exact_smoothed",
+    "free_stieltjes",
     "lattice_box_charfn",
     "lattice_dos_smoothed",
     "truncated_tree_stieltjes",
@@ -103,52 +104,79 @@ def exact_smoothed(model, kernel: CauchyKernel, energy):
     height = float(np.max(np.abs(e.imag), initial=0.0))
     if height >= lam:
         raise OutsideStripError(f"|Im E| = {height} is outside the strip of width lambda = {lam}")
-    if isinstance(model, ContinuumFreeModel):
-        p = (np.sqrt(e + 1j * lam) + np.sqrt(e - 1j * lam)) / (2.0 * np.pi)
-    elif isinstance(model, LatticeFreeModel) and model.d > 1:
-        p = _lattice_time_integral(model.d, lam, e)
-    elif isinstance(model, (LatticeFreeModel, BetheFreeModel)):
-        K = model.K if isinstance(model, BetheFreeModel) else 1  # the chain Z is the K = 1 tree
-        p = (_tree_stieltjes(K, e + 1j * lam) - _tree_stieltjes(K, e - 1j * lam)) / (2j * np.pi)
-    else:
-        raise TypeError(f"unsupported free model {type(model).__name__}")
-    if real:
-        p = p.real
+    up = free_stieltjes(model, e + 1j * lam)
+    down = up if real else free_stieltjes(model, np.conj(e) + 1j * lam)
+    p = (up - np.conj(down)) / (2j * np.pi)
+    p = p.real if real else p
     return p.item() if p.ndim == 0 else p
 
 
-def _tree_stieltjes(K: int, z):
-    """Root Stieltjes transform of the infinite (K+1)-regular tree, z off [-2 sqrt K, 2 sqrt K].
+def free_stieltjes(model, z):
+    """Stieltjes transform m(z) = int dmu(x) / (x - z) of the free model, Im z > 0.
 
-    The Kesten-McKay transform (McKay, Linear Algebra Appl. 40, 203, 1981),
-    written as 2K / ((1-K) z - (K+1) sqrt(z^2 - 4K)) so that no cancellation
-    occurs near the removable pole z^2 = (K+1)^2. K = 1 gives the arcsine law
-    of the chain, -1 / sqrt(z^2 - 4).
+    * Bethe tree and chain: the Kesten-McKay transform (McKay, Linear Algebra
+      Appl. 40, 203, 1981), written as 2K / ((1-K) z - (K+1) sqrt(z^2 - 4K))
+      so that no cancellation occurs near the removable pole z^2 = (K+1)^2.
+      The chain is K = 1, the arcsine law -1 / sqrt(z^2 - 4).
+    * Z^2: -1 / (z AGM(1, sqrt(1 - 16/z^2))) (Cox, Enseign. Math. 30, 275,
+      1984). For Im z > 0 the start b lies in the right half-plane, so every
+      a and b stays there and sqrt(a) sqrt(b) is the right root |a - b| <=
+      |a + b|; taking it as two roots keeps a b from overflowing at tiny |z|.
+    * Z^d, d >= 3: i L(-i z) with the Laplace sum ``_lattice_laplace``.
+    * Continuum: i sqrt(z), whose (1/pi) Im on the real axis is the free IDS
+      sqrt(max(E, 0)) / pi.
     """
-    r = 2.0 * math.sqrt(K)
-    return 2.0 * K / ((1 - K) * z - (K + 1) * (np.sqrt(z - r) * np.sqrt(z + r)))
+    z = np.asarray(z, dtype=complex)
+    if isinstance(model, ContinuumFreeModel):
+        return 1j * np.sqrt(z)
+    if isinstance(model, LatticeFreeModel) and model.d == 2:
+        a, b = np.ones_like(z), np.sqrt(1.0 - 4.0 / z) * np.sqrt(1.0 + 4.0 / z)
+        for _ in range(64):  # quadratic convergence needs far fewer steps
+            if not np.any(np.abs(a - b) > 1e-15 * np.abs(a)):  # NaN stays NaN
+                return -1.0 / (z * a)
+            a, b = (a + b) / 2.0, np.sqrt(a) * np.sqrt(b)
+        raise ValueError("the Z^2 arithmetic-geometric mean did not converge in 64 steps")
+    if isinstance(model, LatticeFreeModel) and model.d > 2:
+        return 1j * _lattice_laplace(model.d, -1j * z)
+    if isinstance(model, (LatticeFreeModel, BetheFreeModel)):
+        K = model.K if isinstance(model, BetheFreeModel) else 1
+        r = 2.0 * math.sqrt(K)
+        return 2.0 * K / ((1 - K) * z - (K + 1) * (np.sqrt(z - r) * np.sqrt(z + r)))
+    raise TypeError(f"unsupported free model {type(model).__name__}")
 
 
-def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarray:
-    """(1/pi) int_0^T exp(-lam t) cos(E t) J_0(2t)^d dt for real or complex E.
+def _lattice_laplace(d: int, zeta) -> np.ndarray:
+    """L(zeta) = int_0^inf exp(-zeta t) J_0(2t)^d dt for Re zeta > 0.
 
-    T follows from the strip margin lam - max|Im E| so that the discarded tail
-    is below 1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider
-    than the fastest oscillation allows, so their count grows with T and
-    max|Re E|; past MAX_GRID_POINTS nodes ValueError is raised before anything
-    is allocated. Panels are grouped in blocks of ``_GROUP``, so every node is
-    t = tau_b + s_k. The integral is the Laplace sum
-    L(zeta) = sum_t w_t J_0(2t)^d exp(-zeta t) as p = (L(lam - iE) + L(lam + iE))
-    / (2 pi), i.e. Re L(lam - iE) / pi for real E. As exp(-zeta t) =
-    exp(-zeta tau_b) exp(-zeta s_k), the node sum is one matrix product with
-    exp(-s zeta) and a contraction with exp(-tau zeta): a few hundred
-    exponentials per energy. Re zeta > 0 in the strip and tau, s >= 0, so no
-    factor exceeds 1.
+    Points are grouped by octave of |Im zeta| + 2d, floored at 16 so that the
+    whole band shares one group, and each group gets its own node grid: one
+    far energy does not make every in-band energy pay for its fine panels.
+    Non-finite points give NaN.
     """
-    e = np.asarray(energies)
-    margin = lam - np.max(np.abs(e.imag), initial=0.0)
+    zeta = np.asarray(zeta, dtype=complex)
+    octave = np.ceil(np.log2(np.maximum(np.abs(zeta.imag) + 2.0 * d, 16.0)))
+    out = np.full(zeta.shape, np.nan, dtype=complex)
+    for o in np.unique(octave[np.isfinite(octave)]):
+        out[octave == o] = _laplace_panels(d, zeta[octave == o])
+    return out
+
+
+def _laplace_panels(d: int, zeta: np.ndarray) -> np.ndarray:
+    """sum_t w_t J_0(2t)^d exp(-zeta t) on one node grid for a nonempty 1-d zeta.
+
+    T follows from the margin min Re zeta so that the discarded tail is below
+    1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider than the
+    fastest oscillation max|Im zeta| allows, so their count grows with T and
+    max|Im zeta|; past MAX_GRID_POINTS nodes ValueError is raised before
+    anything is allocated. Panels are grouped in blocks of ``_GROUP``, so
+    every node is t = tau_b + s_k. As exp(-zeta t) = exp(-zeta tau_b)
+    exp(-zeta s_k), the node sum is one matrix product with exp(-s zeta) and a
+    contraction with exp(-tau zeta): a few hundred exponentials per energy.
+    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1.
+    """
+    margin = float(np.min(zeta.real))
     tmax = -math.log(TRUNCATION_EPS) / margin
-    e_max = float(np.max(np.abs(e.real), initial=0.0))
+    e_max = float(np.max(np.abs(zeta.imag)))
     n_panels = int(math.ceil(tmax / min(0.5, 8.0 / max(e_max + 2.0 * d, 1.0))))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     if nodes.size * n_panels > MAX_GRID_POINTS:
@@ -162,8 +190,6 @@ def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarr
     live = (np.arange(n_blocks * _GROUP) < n_panels).reshape(n_blocks, _GROUP, 1)
     w = (0.5 * h * weights * live).reshape(n_blocks, -1)
     g = j0(2.0 * (tau[:, None] + s)) ** d * w
-    flat, real = e.ravel(), not np.iscomplexobj(e)
-    zeta = lam - 1j * flat if real else np.concatenate((lam - 1j * flat, lam + 1j * flat))
     laplace = np.empty(zeta.size, dtype=complex)
     cols = max(1, _BLOCK // (n_blocks + s.size))
     for start in range(0, zeta.size, cols):
@@ -172,8 +198,7 @@ def _lattice_time_integral(d: int, lam: float, energies: np.ndarray) -> np.ndarr
         inner = (g @ np.exp(-np.multiply.outer(s, z)).view(float)).view(complex)
         phase = np.exp(-np.multiply.outer(tau, z))
         laplace[start:start + cols] = np.sum(inner * phase, axis=0)
-    p = laplace.real if real else 0.5 * (laplace[:flat.size] + laplace[flat.size:])
-    return p.reshape(e.shape) / np.pi
+    return laplace
 
 
 def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
@@ -241,17 +266,3 @@ def truncated_tree_stieltjes(K: int, depth: int, z):
         d, slope = -z - children / d, -1.0 + children * slope / d**2
     trace = trace - slope / d
     return 1.0 / d, trace / (1 + (K + 1) * (K ** depth - 1) // (K - 1))
-
-
-# ---------------------------------------------------------------------------
-# 1-d continuum Laplacian: free integrated density of states.
-# ---------------------------------------------------------------------------
-
-
-def continuum_free_ids(model: ContinuumFreeModel, energy):
-    """Free IDS of -d^2/dx^2 per unit length: sqrt(max(E, 0)) / pi."""
-    e = np.asarray(energy, dtype=float)
-    out = np.sqrt(np.clip(e, 0.0, None)) / np.pi
-    return float(out) if out.ndim == 0 else out
-
-

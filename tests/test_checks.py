@@ -76,7 +76,7 @@ def test_dos_check_two_dimensional_variant():
     assert report.metrics["z_p95"] <= 2.5
 
 
-def test_bethe_check_small_depth_uses_dense_route():
+def test_bethe_check_small_depth_passes():
     report = check_bethe_dos(depth=9, n_samples=30, seed=2,
                              grid=EnergyGrid(-2.5, 2.5, 0.1))
     assert report.passed

@@ -114,7 +114,7 @@ def test_malformed_grid_returns_usage_error_in_process(tmp_path, capsys):
 
 
 def test_exact_time_integral_past_the_node_cap_is_usage_error(tmp_path, capsys):
-    rc = main(["exact", "--model", "lattice", "--dim", "2", "--lambda", "1",
+    rc = main(["exact", "--model", "lattice", "--dim", "3", "--lambda", "1",
                "--grid", "0:2e5:1e5", "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err

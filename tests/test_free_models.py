@@ -11,14 +11,14 @@ from cauchydos.free_models import (
     ContinuumFreeModel,
     LatticeFreeModel,
     bessel_j,
-    continuum_free_ids,
     exact_smoothed,
+    free_stieltjes,
     lattice_box_charfn,
     lattice_dos_smoothed,
     truncated_tree_stieltjes,
     _BLOCK,
     _GROUP,
-    _lattice_time_integral,
+    _lattice_laplace,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid, window_tail_mass
 from cauchydos.spectra import bessel_j_sequence
@@ -314,11 +314,16 @@ def test_depth_fourteen_free_root_close_to_kesten_mckay():
 
 
 def test_continuum_free_ids_values():
+    # the free IDS is the boundary value (1/pi) Im F(E + i0) of the continuum transform
     m = ContinuumFreeModel()
-    assert continuum_free_ids(m, 0.0) == 0.0
-    assert continuum_free_ids(m, -3.0) == 0.0
-    assert continuum_free_ids(m, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert continuum_free_ids(m, 4.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
+
+    def free_ids(e):
+        return float(free_stieltjes(m, e + 0j).imag) / math.pi
+
+    assert free_ids(0.0) == 0.0
+    assert free_ids(-3.0) == 0.0
+    assert free_ids(1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert free_ids(4.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
 
 
 def test_continuum_ids_smoothed_regression():
@@ -346,6 +351,14 @@ def test_continuum_ids_smoothed_limits():
 
 ORACLE_TOL = 1e-9
 QUAD_ABS_TOL = 1e-10
+
+
+def laplace_smoothed(d, lam, energies):
+    """(L(lam - iE) + L(lam + iE)) / (2 pi) = (1/pi) int exp(-lam t) cos(E t) J_0(2t)^d dt
+    from the Laplace sum at any d, bypassing ``free_stieltjes``."""
+    e = np.asarray(energies)
+    p = (_lattice_laplace(d, lam - 1j * e) + _lattice_laplace(d, lam + 1j * e)) / (2 * math.pi)
+    return p if np.iscomplexobj(e) else p.real
 
 
 def cosine_contraction(d, lam, energies):
@@ -468,7 +481,7 @@ def test_shared_node_integral_matches_chain_closed_form(lam):
     m, k = LatticeFreeModel(1), CauchyKernel(lam)
     e = EnergyGrid(-5.0, 5.0, 0.1).points
     for z in (e, e[::5] + 0.25j * lam, e[::5] + 0.5j * lam, e[::5] - 0.5j * lam):
-        dev = np.abs(_lattice_time_integral(1, lam, z) - exact_smoothed(m, k, z))
+        dev = np.abs(laplace_smoothed(1, lam, z) - exact_smoothed(m, k, z))
         assert np.max(dev) <= ORACLE_TOL
 
 
@@ -478,7 +491,7 @@ def test_factored_integral_matches_cosine_contraction(d, lam):
     e = EnergyGrid(-8.0, 8.0, 0.1).points
     for z in (e, e[::8] + 0.25j * lam, e[::8] + 0.5j * lam, e[::8] - 0.5j * lam,
               e[::8] + 0.9j * lam):
-        fast = _lattice_time_integral(d, lam, z)
+        fast = laplace_smoothed(d, lam, z)
         assert fast.dtype == z.dtype
         assert np.max(np.abs(fast - cosine_contraction(d, lam, z))) <= 1e-13
 
@@ -488,7 +501,7 @@ def test_factored_integral_spans_several_energy_blocks():
     # cannot fit in one _BLOCK and the energy loop runs at least twice
     e = EnergyGrid(-10.0, 10.0, 0.002).points
     assert e.size * 16 * _GROUP > _BLOCK
-    dev = np.abs(_lattice_time_integral(2, 1.0, e) - cosine_contraction(2, 1.0, e))
+    dev = np.abs(laplace_smoothed(2, 1.0, e) - cosine_contraction(2, 1.0, e))
     assert np.max(dev) <= 1e-13
 
 
@@ -514,16 +527,51 @@ def test_exact_smoothed_outside_strip_raises_for_every_model():
 
 
 def test_time_integral_refuses_node_counts_past_the_grid_cap():
-    # the d >= 2 node count grows with max|E| and with 1/(lam - |Im E|); both are
+    # the d >= 3 node count grows with max|E| and with 1/(lam - |Im E|); both are
     # refused before any node is allocated rather than growing memory without bound
     k = CauchyKernel(1.0)
     with pytest.raises(ValueError, match=r"max\|E\| = 200000"):
-        exact_smoothed(LatticeFreeModel(2), k, 2e5)
+        exact_smoothed(LatticeFreeModel(3), k, 2e5)
     with pytest.raises(ValueError, match="margin 1e-05"):
         exact_smoothed(LatticeFreeModel(3), k, 0.5 + 0.99999j)
-    # the closed forms cost the same at any energy
-    for model in (LatticeFreeModel(1), BetheFreeModel(2), ContinuumFreeModel()):
+    # the closed forms cost the same at any energy; far out Z^2 is the kernel tail
+    for model in (LatticeFreeModel(1), LatticeFreeModel(2), BetheFreeModel(2),
+                  ContinuumFreeModel()):
         assert math.isfinite(exact_smoothed(model, k, 1e9))
+    tail = k.lam / (math.pi * 2e5**2)
+    assert exact_smoothed(LatticeFreeModel(2), k, 2e5) == pytest.approx(tail, rel=1e-8)
+
+
+def test_nan_energy_gives_nan_on_the_agm_and_time_integral_routes():
+    # a NaN neither stalls the AGM loop nor forms an empty node-grid group
+    k, e = CauchyKernel(1.0), np.array([np.nan, 0.5])
+    with np.errstate(invalid="ignore"):  # complex division by NaN warns, as in every closed form
+        agm = exact_smoothed(LatticeFreeModel(2), k, e)
+    for p in (agm, exact_smoothed(LatticeFreeModel(3), k, e)):
+        assert np.isnan(p[0]) and np.isfinite(p[1])
+
+
+def test_far_energy_does_not_change_in_band_time_integral_values():
+    # energies are grouped by octave of |E| + 2d, so a far energy gets its own
+    # node grid and the in-band energies keep theirs bit for bit
+    m, k = LatticeFreeModel(3), CauchyKernel(1.0)
+    e = EnergyGrid(-6.0, 6.0, 0.01).points
+    assert np.array_equal(exact_smoothed(m, k, np.append(e, 1e4))[:-1], exact_smoothed(m, k, e))
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_square_lattice_agm_matches_laplace_sum(lam):
+    m, k = LatticeFreeModel(2), CauchyKernel(lam)
+    e = EnergyGrid(-9.0, 9.0, 0.01).points
+    assert np.max(np.abs(exact_smoothed(m, k, e) - laplace_smoothed(2, lam, e))) <= 1e-13
+    z = e[::9] + 1j * lam * np.linspace(-0.9, 0.9, e[::9].size)
+    assert np.max(np.abs(exact_smoothed(m, k, z) - laplace_smoothed(2, lam, z))) <= 1e-13
+
+
+def test_square_lattice_agm_matches_stieltjes_quadrature():
+    z = np.array([0.0 + 0.05j, 0.5 + 1j, -3.9 + 0.2j, 4.1 + 0.05j, 7.0 + 3j, -12.0 + 0.5j])
+    oracle = np.array([square_lattice_stieltjes(x) for x in z])
+    assert np.max(np.abs(free_stieltjes(LatticeFreeModel(2), z) - oracle)) <= ORACLE_TOL
 
 
 def test_lattice_box_charfn_uses_nearest_periodic_image():
