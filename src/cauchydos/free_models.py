@@ -114,6 +114,11 @@ def exact_smoothed(model, kernel: CauchyKernel, energy):
 def free_stieltjes(model, z):
     """Stieltjes transform m(z) = int dmu(x) / (x - z) of the free model, Im z > 0.
 
+    On the real axis the Kesten-McKay and continuum forms give the boundary
+    value m(E + i0), which ``checks.check_continuum_ids`` reads; the Z^d
+    routes for d >= 2 are valid for Im z > 0 only. Outside its domain
+    ValueError is raised.
+
     * Bethe tree and chain: the Kesten-McKay transform (McKay, Linear Algebra
       Appl. 40, 203, 1981), written as 2K / ((1-K) z - (K+1) sqrt(z^2 - 4K))
       so that no cancellation occurs near the removable pole z^2 = (K+1)^2.
@@ -127,6 +132,9 @@ def free_stieltjes(model, z):
       sqrt(max(E, 0)) / pi.
     """
     z = np.asarray(z, dtype=complex)
+    strict = isinstance(model, LatticeFreeModel) and model.d >= 2
+    if np.any(z.imag <= 0) if strict else np.any(z.imag < 0):
+        raise ValueError(f"free_stieltjes for this model requires Im z {'>' if strict else '>='} 0")
     if isinstance(model, ContinuumFreeModel):
         return 1j * np.sqrt(z)
     if isinstance(model, LatticeFreeModel) and model.d == 2:
@@ -146,23 +154,7 @@ def free_stieltjes(model, z):
 
 
 def _lattice_laplace(d: int, zeta) -> np.ndarray:
-    """L(zeta) = int_0^inf exp(-zeta t) J_0(2t)^d dt for Re zeta > 0.
-
-    Points are grouped by octave of |Im zeta| + 2d, floored at 16 so that the
-    whole band shares one group, and each group gets its own node grid: one
-    far energy does not make every in-band energy pay for its fine panels.
-    Non-finite points give NaN.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    octave = np.ceil(np.log2(np.maximum(np.abs(zeta.imag) + 2.0 * d, 16.0)))
-    out = np.full(zeta.shape, np.nan, dtype=complex)
-    for o in np.unique(octave[np.isfinite(octave)]):
-        out[octave == o] = _laplace_panels(d, zeta[octave == o])
-    return out
-
-
-def _laplace_panels(d: int, zeta: np.ndarray) -> np.ndarray:
-    """sum_t w_t J_0(2t)^d exp(-zeta t) on one node grid for a nonempty 1-d zeta.
+    """L(zeta) = int_0^inf exp(-zeta t) J_0(2t)^d dt for Re zeta > 0, as a node sum.
 
     T follows from the margin min Re zeta so that the discarded tail is below
     1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider than the
@@ -172,12 +164,14 @@ def _laplace_panels(d: int, zeta: np.ndarray) -> np.ndarray:
     every node is t = tau_b + s_k. As exp(-zeta t) = exp(-zeta tau_b)
     exp(-zeta s_k), the node sum is one matrix product with exp(-s zeta) and a
     contraction with exp(-tau zeta): a few hundred exponentials per energy.
-    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1.
+    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1. NaN points give NaN
+    and do not enter the node grid.
     """
-    margin = float(np.min(zeta.real))
+    zeta = np.asarray(zeta, dtype=complex)
+    margin = float(np.fmin.reduce(zeta.real, axis=None, initial=np.inf))
     tmax = -math.log(TRUNCATION_EPS) / margin
-    e_max = float(np.max(np.abs(zeta.imag)))
-    n_panels = int(math.ceil(tmax / min(0.5, 8.0 / max(e_max + 2.0 * d, 1.0))))
+    e_max = float(np.fmax.reduce(np.abs(zeta.imag), axis=None, initial=0.0))
+    n_panels = max(1, int(math.ceil(tmax / min(0.5, 8.0 / max(e_max + 2.0 * d, 1.0)))))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     if nodes.size * n_panels > MAX_GRID_POINTS:
         raise ValueError(f"the d={d} time integral at max|E| = {e_max:g} (strip margin "
@@ -190,15 +184,16 @@ def _laplace_panels(d: int, zeta: np.ndarray) -> np.ndarray:
     live = (np.arange(n_blocks * _GROUP) < n_panels).reshape(n_blocks, _GROUP, 1)
     w = (0.5 * h * weights * live).reshape(n_blocks, -1)
     g = j0(2.0 * (tau[:, None] + s)) ** d * w
-    laplace = np.empty(zeta.size, dtype=complex)
+    flat = zeta.ravel()
+    laplace = np.empty(flat.size, dtype=complex)
     cols = max(1, _BLOCK // (n_blocks + s.size))
-    for start in range(0, zeta.size, cols):
-        z = zeta[start:start + cols]
+    for start in range(0, flat.size, cols):
+        z = flat[start:start + cols]
         # real g times complex phases as one real product on (re, im) pairs
         inner = (g @ np.exp(-np.multiply.outer(s, z)).view(float)).view(complex)
         phase = np.exp(-np.multiply.outer(tau, z))
         laplace[start:start + cols] = np.sum(inner * phase, axis=0)
-    return laplace
+    return laplace.reshape(zeta.shape)
 
 
 def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):

@@ -543,7 +543,7 @@ def test_time_integral_refuses_node_counts_past_the_grid_cap():
 
 
 def test_nan_energy_gives_nan_on_the_agm_and_time_integral_routes():
-    # a NaN neither stalls the AGM loop nor forms an empty node-grid group
+    # a NaN neither stalls the AGM loop nor sizes the d >= 3 node grid
     k, e = CauchyKernel(1.0), np.array([np.nan, 0.5])
     with np.errstate(invalid="ignore"):  # complex division by NaN warns, as in every closed form
         agm = exact_smoothed(LatticeFreeModel(2), k, e)
@@ -551,12 +551,18 @@ def test_nan_energy_gives_nan_on_the_agm_and_time_integral_routes():
         assert np.isnan(p[0]) and np.isfinite(p[1])
 
 
-def test_far_energy_does_not_change_in_band_time_integral_values():
-    # energies are grouped by octave of |E| + 2d, so a far energy gets its own
-    # node grid and the in-band energies keep theirs bit for bit
-    m, k = LatticeFreeModel(3), CauchyKernel(1.0)
-    e = EnergyGrid(-6.0, 6.0, 0.01).points
-    assert np.array_equal(exact_smoothed(m, k, np.append(e, 1e4))[:-1], exact_smoothed(m, k, e))
+def test_free_stieltjes_refuses_points_outside_its_domain():
+    # Im z < 0 is refused for every model; the real axis is the boundary value
+    # of the Kesten-McKay and continuum forms but outside the Z^d routes, d >= 2
+    for model in (LatticeFreeModel(1), LatticeFreeModel(2), LatticeFreeModel(3),
+                  BetheFreeModel(2), ContinuumFreeModel()):
+        with pytest.raises(ValueError, match="requires Im z"):
+            free_stieltjes(model, np.array([0.5 + 0.1j, 0.5 - 0.1j]))
+    for model in (LatticeFreeModel(2), LatticeFreeModel(3)):
+        with pytest.raises(ValueError, match="requires Im z > 0"):
+            free_stieltjes(model, 0.5 + 0j)
+    for model in (LatticeFreeModel(1), BetheFreeModel(2), ContinuumFreeModel()):
+        assert math.isfinite(free_stieltjes(model, 0.5 + 0j).imag)
 
 
 @pytest.mark.parametrize("lam", [0.05, 1.0])
