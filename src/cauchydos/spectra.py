@@ -28,13 +28,12 @@ from .ensemble import (
     tree_level_sizes,
 )
 from .errors import CapExceededError, EnclosureError, SolverError
-from .measures import CauchyKernel, EnergyGrid, cauchy_density
+from .measures import MAX_GRID_POINTS, CauchyKernel, EnergyGrid, cauchy_density
 
 __all__ = [
     "DENSE_CAP",
     "EigenDecomposition",
     "McEstimate",
-    "bessel_j_sequence",
     "charfn_mc",
     "chebyshev_evolve",
     "dos_mc",
@@ -83,19 +82,22 @@ def _guarded_solve(op: SymmetricOperator, solve):
                           f"(matrix sha256 {digest.hexdigest()[:16]})") from exc
 
 
-def _ring_band(op: SymmetricOperator) -> np.ndarray | None:
+def _band_form(op: SymmetricOperator) -> np.ndarray | None:
     """Lower band form of ``op`` with its sites interleaved 0, n-1, 1, n-2, ...
 
-    Every bond of a chain or ring (d=1 boxes, continuum meshes) then lies
-    within two diagonals, so its eigenvalues cost a band reduction, O(n^2),
-    instead of a dense one, O(n^3). Returns None for any other structure.
+    The width is w = max(2, largest index offset of a bond) in that order:
+    2 for chains, rings and continuum meshes, 2*side for periodic d=2 boxes.
+    Returns the (w+1, n) band when w <= 2*sqrt(n), where its eigenvalues cost
+    a band reduction, O(n w^2), below a dense one, O(n^3); None otherwise
+    (d>=3 boxes, trees, general sparse operators).
     """
     k = np.arange(op.n)
     pos = np.where(k < (op.n + 1) // 2, 2 * k, 2 * (op.n - 1 - k) + 1)
     offset = np.abs(pos[op.rows] - pos[op.cols])
-    if np.any(offset > 2):
+    w = max(2, int(offset.max(initial=0)))
+    if w * w > 4 * op.n:
         return None
-    band = np.zeros((3, op.n))
+    band = np.zeros((w + 1, op.n))
     band[offset, np.minimum(pos[op.rows], pos[op.cols])] = op.vals
     return band
 
@@ -106,53 +108,22 @@ def eig_sym(op: SymmetricOperator) -> EigenDecomposition:
 
 
 def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
-    """Ascending eigenvalues only: a band solve for chains and rings, dense otherwise."""
-    band = _ring_band(op)
-    if band is None:
-        return _guarded_solve(op, lambda: np.linalg.eigvalsh(op.to_dense()))
-    from scipy.linalg import eigvals_banded
+    """Ascending eigenvalues only: a band solve where ``_band_form`` finds one, else dense."""
 
-    return _guarded_solve(op, lambda: eigvals_banded(band, lower=True, check_finite=False))
+    def solve():
+        band = _band_form(op)
+        if band is None:
+            return np.linalg.eigvalsh(op.to_dense())
+        from scipy.linalg import eigvals_banded
+
+        return eigvals_banded(band, lower=True, check_finite=False)
+
+    return _guarded_solve(op, solve)
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev time evolution.
 # ---------------------------------------------------------------------------
-
-
-def bessel_j_sequence(nmax: int, x: float) -> np.ndarray:
-    """J_0(x), ..., J_nmax(x) for x >= 0 by one downward Miller sweep.
-
-    Normalized with J_0 + 2 sum_k J_{2k} = 1; rescaled on the fly to avoid
-    overflow of the unnormalized recurrence.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    if x < 0:
-        raise ValueError("bessel_j_sequence requires x >= 0")
-    out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    top = max(nmax, int(math.ceil(x)))
-    start = top + 1 + int(math.ceil(math.sqrt(40.0 * top)))
-    start += start % 2
-    fp, f, even_sum = 0.0, 1e-300, 0.0
-    for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp, f = f, fm
-        idx = m - 1
-        if idx <= nmax:
-            out[idx] = fm
-        if idx > 0 and idx % 2 == 0:
-            even_sum += 2.0 * fm
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp *= 1e-250
-            even_sum *= 1e-250
-            out *= 1e-250
-    norm = f + even_sum  # f now holds the unnormalized J_0
-    return out / norm
 
 
 def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
@@ -180,7 +151,9 @@ def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
     # the Bessel tail turns over within ~x^(1/3) orders past n = x, so give the
     # cutoff search enough room before falling back to the full window
     n_max = n_hard + 60 + int(math.ceil(14.0 * x ** (1.0 / 3.0)))
-    coeffs = bessel_j_sequence(n_max, x)
+    from scipy.special import jv
+
+    coeffs = jv(np.arange(n_max + 1), x)
     n_cut = n_max
     for n in range(n_hard + 1, n_max + 1):
         if abs(coeffs[n]) < 1e-15:
@@ -344,8 +317,22 @@ def _operator_dim(model_spec) -> int:
     return site_count(model_spec)
 
 
-def _refuse_above_dense_cap(model_spec) -> None:
-    """Refuse a spec whose operator a dense solve cannot take, before any sample is drawn."""
+_TREE_CHUNK = 48
+
+
+def _refuse_oversized(model_spec) -> None:
+    """Refuse a spec its route cannot take, before any sample is drawn.
+
+    A tree is refused when one temporary of its pivot sweep, the deepest
+    level times _TREE_CHUNK energies, would exceed MAX_GRID_POINTS entries;
+    any other operator above DENSE_CAP.
+    """
+    if isinstance(model_spec, TreeSpec):
+        entries = tree_level_sizes(model_spec)[-1] * _TREE_CHUNK
+        if entries > MAX_GRID_POINTS:
+            raise CapExceededError(f"tree pivot sweep of depth {model_spec.depth} needs "
+                                   f"{entries} entries per temporary > {MAX_GRID_POINTS}")
+        return
     dim = _operator_dim(model_spec)
     if dim > DENSE_CAP:
         raise CapExceededError(
@@ -385,9 +372,6 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
     return -(total + slopes[0] * g_root).imag / np.pi / omegas.size
 
 
-_TREE_CHUNK = 48
-
-
 def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples: int,
            master_seed: int, broaden: float, estimator: str = "trace") -> McEstimate:
     """Disorder-averaged broadened local density of states on a grid.
@@ -396,9 +380,9 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     ``broaden``; the expectation then equals the exact free curve smoothed at
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
-    "site" uses the single-site measure at the origin/root. Trees of any depth
-    take the leaf-to-root pivot sweep, so DENSE_CAP bounds lattices and
-    continuum meshes only.
+    "site" uses the single-site measure at the origin/root. Trees take the
+    leaf-to-root pivot sweep, so DENSE_CAP bounds lattices and continuum
+    meshes only; trees are bounded by the sweep's temporaries.
     """
     if not (broaden > 0):
         raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
@@ -408,8 +392,7 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     n_sites = site_count(model_spec)
     tree = isinstance(model_spec, TreeSpec)
     smear = CauchyKernel(broaden)
-    if not tree:
-        _refuse_above_dense_cap(model_spec)
+    _refuse_oversized(model_spec)
 
     if tree:
         z = energies + 1j * broaden
@@ -450,7 +433,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     """
     e_points = np.asarray(e_points, dtype=float)
     n_sites = site_count(model_spec)
-    _refuse_above_dense_cap(model_spec)
+    _refuse_oversized(model_spec)
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
 
     def per_sample(i):

@@ -3,9 +3,14 @@ import math
 import subprocess
 import sys
 
+import pytest
 from conftest import child_env
 
 from cauchydos.cli import main
+from cauchydos.ensemble import TreeSpec
+from cauchydos.errors import CapExceededError
+from cauchydos.measures import CauchyKernel, EnergyGrid
+from cauchydos.spectra import dos_mc
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -178,6 +183,20 @@ def test_sample_cap_exceeded_exits_3(tmp_path):
     assert "charfn" in proc.stderr
 
 
+def test_sample_tree_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    # at depth 40 one sweep temporary would hold 3 * 2^39 * 48 complex entries
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the cap check")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
+    with pytest.raises(CapExceededError):
+        dos_mc(TreeSpec(2, 40), CauchyKernel(1.0), EnergyGrid(-3.0, 3.0, 0.1), 1, 0, 0.1)
+    rc = main(["sample", "--model", "bethe", "--depth", "40", "--samples", "1",
+               "--lambda", "1", "--broaden", "0.1", "--grid=-3:3:0.1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_continuum_runs_and_rejects_compare_exact(tmp_path):
     args = ["sample", "--model", "continuum", "--size", "20", "--h", "0.1",
             "--samples", "3", "--lambda", "0.5", "--broaden", "0.3",
@@ -270,6 +289,26 @@ def test_charfn_bytes_do_not_depend_on_blas_or_sample_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "charfn_lattice.csv").read_bytes())
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the band solves of chains (d=1) and d=2 boxes, the continuum mesh and the tree sweep
+    common = ["--samples", "4", "--lambda", "1", "--broaden", "0.1", "--grid=-6:6:0.05"]
+    routes = {
+        "d1": ["--model", "lattice", "--dim", "1", "--size", "2000"],
+        "d2": ["--model", "lattice", "--dim", "2", "--size", "45"],
+        "continuum": ["--model", "continuum", "--size", "200", "--h", "0.25"],
+        "tree": ["--model", "bethe", "--depth", "8"],
+    }
+    for name, model in routes.items():
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"{name}_blas{blas}"
+            proc = run_cli(["sample", *model, *common, "--out", str(out)], tmp_path,
+                           env_extra={"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([p.read_bytes() for p in sorted(out.glob("*.csv"))])
+        assert outputs[0] and outputs[0] == outputs[1], name
 
 
 def test_malformed_thread_count_is_usage_error(tmp_path):

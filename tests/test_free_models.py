@@ -21,7 +21,6 @@ from cauchydos.free_models import (
     _lattice_laplace,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid, window_tail_mass
-from cauchydos.spectra import bessel_j_sequence
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -92,20 +91,6 @@ def test_bessel_recurrence_relative_residual():
             scale = max(abs(seq[n - 1]), abs(rhs), 1e-300)
             worst = max(worst, abs(lhs - rhs) / scale)
     assert worst < 1e-10
-
-
-def test_bessel_sequence_matches_scalar():
-    for x in (0.0, 0.4, 3.0, 15.0, 80.0):
-        seq = bessel_j_sequence(12, x)
-        direct = [bessel_j(n, x) for n in range(13)]
-        assert np.allclose(seq, direct, atol=1e-13)
-    # heavy-tailed Chebyshev arguments over the whole order window chebyshev_evolve
-    # requests there (x = 1244.4 is a radius of 12,444 at dt = 0.1)
-    for x, n_max in ((200.0, 382), (1244.4, 1496)):
-        seq = bessel_j_sequence(n_max, x)
-        direct = np.array([bessel_j(n, x) for n in range(n_max + 1)])
-        assert np.max(np.abs(seq - direct)) <= 1e-13
-        assert abs(seq[0] ** 2 + 2.0 * np.sum(seq[1:] ** 2) - 1.0) <= 1e-13
 
 
 def free_amplitude(d, offset, t, side=64):

@@ -22,6 +22,7 @@ from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, write_c
 from cauchydos.spectra import (
     DENSE_CAP,
     McEstimate,
+    _refuse_oversized,
     _tree_green_diagonals,
     charfn_mc,
     chebyshev_evolve,
@@ -94,9 +95,12 @@ def test_eig_cap():
 @pytest.mark.parametrize("spec", [
     LatticeBoxSpec(1, 1), LatticeBoxSpec(1, 2), LatticeBoxSpec(1, 3), LatticeBoxSpec(1, 301),
     LatticeBoxSpec(1, 300, "dirichlet"), BumpFamily(25, 0.1),
+    LatticeBoxSpec(2, 1), LatticeBoxSpec(2, 2), LatticeBoxSpec(2, 3), LatticeBoxSpec(2, 8),
+    LatticeBoxSpec(2, 45),
 ], ids=repr)
 def test_eigvals_sym_band_route_matches_dense(spec):
-    # chains and rings take the band solver; it must agree with the dense one
+    # chains, rings and d=2 boxes (interleaved width 2*side = 2*sqrt(n), the
+    # rule's edge) take the band solver; it must agree with the dense one
     sample = draw_sample(CauchyKernel(0.5), spec.n_sites if isinstance(spec, LatticeBoxSpec)
                          else spec.length, 7, 0)
     op = build_operator(spec, sample)
@@ -108,8 +112,12 @@ def test_eigvals_sym_band_route_matches_dense(spec):
 
 
 def test_eigvals_sym_general_sparse_stays_dense():
-    op = random_sparse_symmetric(60, 5)
-    assert np.array_equal(eigvals_sym(op), np.linalg.eigvalsh(op.to_dense()))
+    # interleaved widths past 2*sqrt(n): a d=3 side-4 box (32 > 16), a tree, random sparse
+    ops = [random_sparse_symmetric(60, 5),
+           build_operator(LatticeBoxSpec(3, 4), draw_sample(K1, 64, 7, 0)),
+           build_tree(TreeSpec(2, 5), draw_sample(K1, TreeSpec(2, 5).n_vertices, 7, 0))]
+    for op in ops:
+        assert np.array_equal(eigvals_sym(op), np.linalg.eigvalsh(op.to_dense()))
 
 
 def test_local_measure_diagonal_sums_to_one():
@@ -420,6 +428,13 @@ def test_dos_mc_tree_recursion_equals_dense_route():
     assert big.n_vertices > DENSE_CAP
     one = dos_mc(big, K1, EnergyGrid(0.0, 0.0, 1.0), 1, 9, eta)
     assert one.mean.shape == (1,) and 0.0 < one.mean[0] < np.inf
+
+
+def test_tree_sweep_bound_admits_k2_up_to_depth_17():
+    # deepest level times the 48-energy chunk: 3 * 2^16 * 48 = 9.4e6 <= MAX_GRID_POINTS
+    _refuse_oversized(TreeSpec(2, 17))
+    with pytest.raises(CapExceededError):
+        _refuse_oversized(TreeSpec(2, 18))
 
 
 def test_dos_mc_depth_zero_tree_is_pure_cauchy():
