@@ -31,6 +31,7 @@ __all__ = [
     "check_continuum_ids",
     "check_dos_identity",
     "check_semigroup",
+    "reference_curve",
     "run_check",
 ]
 
@@ -73,6 +74,22 @@ class CheckReport:
                 f"({self.runtime_seconds:.1f} s)")
 
 
+def reference_curve(spec, lam: float, estimator: str, energies: np.ndarray) -> np.ndarray:
+    """The exact expectation of ``dos_mc``'s ``estimator`` curve on ``spec`` at
+    total smoothing ``lam`` (disorder scale plus per-sample broadening).
+
+    A box gives the Z^d curve (both estimators, by translation invariance); a
+    tree gives the truncated free tree's vertex mean ("trace") or root
+    ("site"). A continuum mesh has no sampled-DOS reference: ValueError.
+    """
+    if isinstance(spec, LatticeBoxSpec):
+        return fm.exact_smoothed(fm.LatticeFreeModel(spec.d), CauchyKernel(lam), energies)
+    if not isinstance(spec, TreeSpec):
+        raise ValueError("a continuum sample has no exact DOS reference (trees and boxes do)")
+    root, mean = fm.truncated_tree_stieltjes(spec.K, spec.depth, energies + 1j * lam)
+    return (mean if estimator == "trace" else root).imag / np.pi
+
+
 def _finish(name, parameters, metrics, thresholds, seed, t0) -> CheckReport:
     return CheckReport(
         name=name,
@@ -111,7 +128,7 @@ def check_charfn_identity(d: int = 1, lam: float = 1.0, side: int = 512,
     """Time domain: the sampled <phi, exp(itH) psi> average must match
     exp(-lam|t|) times the free amplitude, pointwise within max(0.03, 4 SE)."""
     t0 = time.perf_counter()
-    spec = LatticeBoxSpec(d, side, "periodic")
+    spec = LatticeBoxSpec(d, side)
     grid = EnergyGrid(0.0, t_max, t_step)
     est = charfn_mc(spec, CauchyKernel(lam), grid, n_samples, seed,
                     phi_site=0, psi_site=psi_offset % spec.n_sites)
@@ -143,9 +160,9 @@ def check_dos_identity(d: int = 1, lam: float = 1.0, eta: float = 0.1, side: int
     smoothed at lam + eta: sup distance <= 0.005, pointwise |z| <= 4 and 95th
     percentile |z| <= 2.5. The trace estimator is used."""
     t0 = time.perf_counter()
-    spec = LatticeBoxSpec(d, side, "periodic")
+    spec = LatticeBoxSpec(d, side)
     est = dos_mc(spec, CauchyKernel(lam), grid, n_samples, seed, eta)
-    exact = fm.exact_smoothed(fm.LatticeFreeModel(d), CauchyKernel(lam + eta), grid.points)
+    exact = reference_curve(spec, lam + eta, "trace", grid.points)
     dev = np.abs(est.mean - exact)
     se = np.maximum(est.std_error, _SE_FLOOR)
     z = dev / se
@@ -178,8 +195,7 @@ def check_bethe_dos(K: int = 2, lam: float = 1.0, eta: float = 0.1, depth: int =
     t0 = time.perf_counter()
     spec = TreeSpec(K, depth)
     est = dos_mc(spec, CauchyKernel(lam), grid, n_samples, seed, eta)
-    z = grid.points + 1j * (lam + eta)
-    truncated = fm.truncated_tree_stieltjes(K, depth, z)[1].imag / np.pi
+    truncated = reference_curve(spec, lam + eta, "trace", grid.points)
     km = fm.exact_smoothed(fm.BetheFreeModel(K), CauchyKernel(lam + eta), grid.points)
     bias = truncated - km
     dev = np.abs(est.mean - km - bias)
@@ -200,16 +216,14 @@ def check_bethe_dos(K: int = 2, lam: float = 1.0, eta: float = 0.1, depth: int =
     )
 
 
-def check_analytic_strip(d: int = 1, lam: float = 1.0, heights=(0.25, 0.5, -0.5),
-                         e_points=(-3.0, -1.0, 0.0, 1.5, 3.0),
-                         fd_step: float = 1e-4) -> CheckReport:
+def check_analytic_strip(d: int = 1, lam: float = 1.0, heights=(0.25, 0.5, -0.5)) -> CheckReport:
     """Complex energies inside |Im z| < lam: central-difference Cauchy-Riemann
     residuals of the smoothed-DOS evaluator must vanish to 1e-5, and
     evaluation on or beyond the strip boundary must raise."""
     t0 = time.perf_counter()
     model = fm.LatticeFreeModel(d)
     kernel = CauchyKernel(lam)
-    h = fd_step
+    e_points, h = (-3.0, -1.0, 0.0, 1.5, 3.0), 1e-4
     worst = 0.0
     for y in heights:
         for e in e_points:
@@ -233,7 +247,7 @@ def check_analytic_strip(d: int = 1, lam: float = 1.0, heights=(0.25, 0.5, -0.5)
     return _finish(
         "strip",
         {"d": d, "lam": lam, "heights": list(heights), "e_points": list(e_points),
-         "fd_step": fd_step},
+         "fd_step": h},
         metrics,
         {"max_cr_residual": 1e-5, "outside_strip_misses": 0.5},
         None,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import free_models as fm
-from .checks import CHECK_NAMES, run_check
+from .checks import CHECK_NAMES, reference_curve, run_check
 from .ensemble import BumpFamily, LatticeBoxSpec, TreeSpec
 from .errors import CapExceededError
 from .measures import CauchyKernel, EnergyGrid, window_tail_mass, write_csv, write_json
@@ -84,7 +84,7 @@ def _cmd_exact(args) -> int:
 def _model_spec_from_args(args):
     """The sample's operator spec and the manifest fields that name it."""
     if args.model == "lattice":
-        return LatticeBoxSpec(args.dim, args.size, "periodic"), {"dim": args.dim, "size": args.size}
+        return LatticeBoxSpec(args.dim, args.size), {"dim": args.dim, "size": args.size}
     if args.model == "bethe":
         return TreeSpec(args.k, args.depth), {"k": args.k, "depth": args.depth}
     return BumpFamily(args.size, args.h), {"size": args.size, "h": args.h}
@@ -95,8 +95,9 @@ def _cmd_sample(args) -> int:
     grid = EnergyGrid.parse(args.grid)
     kernel = CauchyKernel(args.lam)
     spec, model_fields = _model_spec_from_args(args)
-    if args.compare_exact and args.model == "continuum":
-        return _usage_error("--compare-exact supports lattice and bethe models")
+    if args.compare_exact:
+        # computed first, so a spec without a reference is refused before sampling
+        exact = reference_curve(spec, args.lam + args.broaden, args.estimator, grid.points)
 
     est = dos_mc(spec, kernel, grid, args.samples, args.seed, args.broaden,
                  estimator=args.estimator)
@@ -105,7 +106,7 @@ def _cmd_sample(args) -> int:
 
     columns = est.columns()
     if args.compare_exact:
-        exact = columns["exact"] = _exact_reference(args, grid)
+        columns["exact"] = exact
         if est.std_error is not None:
             columns["z"] = np.abs(est.mean - exact) / np.maximum(est.std_error, 1e-15)
 
@@ -116,22 +117,11 @@ def _cmd_sample(args) -> int:
     return _emit(args, f"sample_{args.model}", columns, params, args.seed, t0)
 
 
-def _exact_reference(args, grid: EnergyGrid) -> np.ndarray:
-    total = CauchyKernel(args.lam + args.broaden)
-    if args.model == "lattice":
-        return fm.exact_smoothed(fm.LatticeFreeModel(args.dim), total, grid.points)
-    root, mean = fm.truncated_tree_stieltjes(args.k, args.depth, grid.points + 1j * total.lam)
-    return (mean if args.estimator == "trace" else root).imag / np.pi
-
-
 def _cmd_charfn(args) -> int:
     t0 = time.perf_counter()
     grid = EnergyGrid.parse(args.t_grid)
     kernel = CauchyKernel(args.lam)
-    if args.model != "lattice":
-        return _usage_error("charfn supports --model lattice (the free amplitude "
-                            "has a closed form only there)")
-    spec = LatticeBoxSpec(args.dim, args.size, "periodic")
+    spec = LatticeBoxSpec(args.dim, args.size)
     if not 0 <= args.phi_site < spec.n_sites:
         return _usage_error(f"--phi-site must lie in [0, {spec.n_sites}), got {args.phi_site}")
     psi_site = args.psi_offset % spec.n_sites
@@ -153,9 +143,6 @@ def _cmd_charfn(args) -> int:
 def _cmd_check(args) -> int:
     t0 = time.perf_counter()
     names = list(CHECK_NAMES) if args.name == "all" else [args.name]
-    for name in names:
-        if name not in CHECK_NAMES:
-            return _usage_error(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}, all")
     out_dir = Path(args.out)
     all_passed = True
     written = []
@@ -222,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_charfn = sub.add_parser("charfn", help="Monte Carlo characteristic function vs exact")
-    p_charfn.add_argument("--model", default="lattice")
+    # the free amplitude has a closed form on lattice boxes only
+    p_charfn.add_argument("--model", default="lattice", choices=["lattice"])
     p_charfn.add_argument("--dim", type=int, default=1)
     p_charfn.add_argument("--size", type=int, default=512)
     p_charfn.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -235,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_charfn.set_defaults(func=_cmd_charfn)
 
     p_check = sub.add_parser("check", help="run named verification checks")
-    p_check.add_argument("name", help=f"one of {', '.join(CHECK_NAMES)}, or all")
+    p_check.add_argument("name", choices=[*CHECK_NAMES, "all"])
     p_check.add_argument("--force-threshold", type=float, default=None,
                          help="override every pass threshold (0 forces failure)")
     add_common(p_check)

@@ -63,17 +63,14 @@ def draw_sample(kernel: CauchyKernel | None, count: int, master_seed: int,
 
 @dataclass(frozen=True)
 class LatticeBoxSpec:
-    """Finite box of Z^d with ``side`` sites per axis, periodic or dirichlet walls."""
+    """Periodic box of Z^d with ``side`` sites per axis."""
 
     d: int
     side: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if not (self.d >= 1 and self.side >= 1):
             raise ValueError("need dimension >= 1 and side >= 1")
-        if self.boundary not in ("periodic", "dirichlet"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
     def n_sites(self) -> int:
@@ -204,10 +201,10 @@ def _with_diagonal(rows: list, cols: list, hopping: float,
 
 
 def build_lattice(spec: LatticeBoxSpec, sample: DisorderSample | None = None) -> SymmetricOperator:
-    """Nearest-neighbor hopping 1 on the box, disorder on the diagonal.
+    """Nearest-neighbor hopping 1 on the periodic box, disorder on the diagonal.
 
-    Sites are indexed lexicographically; wrapping bonds appear only for
-    periodic boundaries (and only once per axis, so side=2 is not doubled).
+    Sites are indexed lexicographically. Every axis wraps; at side <= 2 the
+    wrapping bond would repeat a bond already present, so it is left out.
     """
     omegas = _check_sample(sample, spec.n_sites)
     n, L, d = spec.n_sites, spec.side, spec.d
@@ -215,15 +212,11 @@ def build_lattice(spec: LatticeBoxSpec, sample: DisorderSample | None = None) ->
     rows, cols = [], []
     stride = 1
     for _ in range(d):
-        coord = (idx // stride) % L
-        if L > 1:
-            wrap = coord == L - 1
-            nbr = idx + stride - np.where(wrap, L * stride, 0)
-            keep = ~wrap if spec.boundary == "dirichlet" else (np.full(n, True) if L > 2 else ~wrap)
-            r = np.minimum(idx[keep], nbr[keep])
-            c = np.maximum(idx[keep], nbr[keep])
-            rows.append(r)
-            cols.append(c)
+        wrap = (idx // stride) % L == L - 1
+        nbr = idx + stride - np.where(wrap, L * stride, 0)
+        keep = ~wrap | (L > 2)
+        rows.append(np.minimum(idx[keep], nbr[keep]))
+        cols.append(np.maximum(idx[keep], nbr[keep]))
         stride *= L
     return _with_diagonal(rows, cols, 1.0, omegas)
 

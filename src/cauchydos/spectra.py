@@ -320,24 +320,28 @@ def _operator_dim(model_spec) -> int:
 _TREE_CHUNK = 48
 
 
-def _refuse_oversized(model_spec) -> None:
-    """Refuse a spec its route cannot take, before any sample is drawn.
-
-    A tree is refused when one temporary of its pivot sweep, the deepest
-    level times _TREE_CHUNK energies, would exceed MAX_GRID_POINTS entries;
-    any other operator above DENSE_CAP.
-    """
-    if isinstance(model_spec, TreeSpec):
-        entries = tree_level_sizes(model_spec)[-1] * _TREE_CHUNK
-        if entries > MAX_GRID_POINTS:
-            raise CapExceededError(f"tree pivot sweep of depth {model_spec.depth} needs "
-                                   f"{entries} entries per temporary > {MAX_GRID_POINTS}")
-        return
+def _refuse_dense(model_spec) -> None:
+    """Refuse, before any sample is drawn, a LAPACK route above DENSE_CAP."""
     dim = _operator_dim(model_spec)
     if dim > DENSE_CAP:
         raise CapExceededError(
             f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; use the charfn route"
         )
+
+
+def _refuse_deep_tree(spec: TreeSpec) -> None:
+    """Refuse, before any sample is drawn, a tree whose pivot sweep temporary,
+    the deepest level times _TREE_CHUNK energies, exceeds MAX_GRID_POINTS entries."""
+    entries = tree_level_sizes(spec)[-1] * _TREE_CHUNK
+    if entries > MAX_GRID_POINTS:
+        raise CapExceededError(f"tree pivot sweep of depth {spec.depth} needs "
+                               f"{entries} entries per temporary > {MAX_GRID_POINTS}")
+
+
+def _in_blocks(curve, energies: np.ndarray, size: int) -> np.ndarray:
+    """``curve`` evaluated on consecutive blocks of ``size`` energies, joined."""
+    return np.concatenate([curve(energies[start:start + size])
+                           for start in range(0, energies.size, size)])
 
 
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
@@ -358,13 +362,14 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
         s = np.full_like(d, -1.0) if trace else None
         end -= size
         if pivots is not None:
-            # each vertex's children are one contiguous block of the level below
-            inv = 1.0 / pivots.reshape(size, -1, z.size)
+            # each vertex's children are one contiguous block of the level below;
+            # the level's pivots and slopes are not read again, so overwrite them
+            inv = np.divide(1.0, pivots, out=pivots).reshape(size, -1, z.size)
             d -= inv.sum(axis=1)
             if trace:
-                w = slopes.reshape(size, -1, z.size) * inv
+                w = np.multiply(slopes, pivots, out=slopes).reshape(size, -1, z.size)
                 total = total + w.sum(axis=(0, 1))
-                s += (w * inv).sum(axis=1)
+                s += np.multiply(w, inv, out=w).sum(axis=1)
         pivots, slopes = d, s
     g_root = 1.0 / pivots[0]
     if not trace:
@@ -381,8 +386,9 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
     "site" uses the single-site measure at the origin/root. Trees take the
-    leaf-to-root pivot sweep, so DENSE_CAP bounds lattices and continuum
-    meshes only; trees are bounded by the sweep's temporaries.
+    leaf-to-root pivot sweep, bounded by its temporaries, in blocks of
+    _TREE_CHUNK energies; lattices and continuum meshes take LAPACK, bounded by
+    DENSE_CAP, and broaden in blocks of at most MAX_GRID_POINTS entries.
     """
     if not (broaden > 0):
         raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
@@ -390,36 +396,34 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
         raise ValueError(f"unknown estimator {estimator!r}")
     energies = grid.points
     n_sites = site_count(model_spec)
-    tree = isinstance(model_spec, TreeSpec)
     smear = CauchyKernel(broaden)
-    _refuse_oversized(model_spec)
 
-    if tree:
-        z = energies + 1j * broaden
+    if isinstance(model_spec, TreeSpec):
+        _refuse_deep_tree(model_spec)
 
         def per_sample(i):
             omegas = draw_sample(kernel, n_sites, master_seed, i).omegas
-            out = np.empty(energies.size)
-            for start in range(0, energies.size, _TREE_CHUNK):
-                sl = slice(start, min(start + _TREE_CHUNK, energies.size))
-                out[sl] = _tree_green_diagonals(model_spec, omegas, z[sl], estimator)
-            return out
 
-    elif estimator == "trace":
-
-        def per_sample(i):
-            sample = draw_sample(kernel, n_sites, master_seed, i)
-            values = eigvals_sym(build_operator(model_spec, sample))
-            poisson = cauchy_density(smear, energies[:, None] - values[None, :])
-            return poisson.sum(axis=1) / values.size
+            def curve(e):
+                return _tree_green_diagonals(model_spec, omegas, e + 1j * broaden, estimator)
+            return _in_blocks(curve, energies, _TREE_CHUNK)
 
     else:
+        _refuse_dense(model_spec)
+        block = max(1, MAX_GRID_POINTS // _operator_dim(model_spec))
 
         def per_sample(i):
-            sample = draw_sample(kernel, n_sites, master_seed, i)
-            eig = eig_sym(build_operator(model_spec, sample))
-            poisson = cauchy_density(smear, energies[:, None] - eig.values[None, :])
-            return poisson @ (eig.vectors[0] * eig.vectors[0])
+            op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
+            if estimator == "trace":
+                values, weights = eigvals_sym(op), None
+            else:
+                eig = eig_sym(op)
+                values, weights = eig.values, eig.vectors[0] * eig.vectors[0]
+
+            def curve(e):
+                poisson = cauchy_density(smear, e[:, None] - values)
+                return poisson.sum(axis=1) / values.size if weights is None else poisson @ weights
+            return _in_blocks(curve, energies, block)
 
     return _run_samples(per_sample, n_samples, worker_count(), energies)
 
@@ -433,7 +437,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     """
     e_points = np.asarray(e_points, dtype=float)
     n_sites = site_count(model_spec)
-    _refuse_oversized(model_spec)
+    _refuse_dense(model_spec)
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
 
     def per_sample(i):

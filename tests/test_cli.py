@@ -335,6 +335,7 @@ def test_charfn_rejects_other_models(tmp_path):
     proc = run_cli(["charfn", "--model", "bethe", "--lambda", "1", "--samples", "2"],
                    tmp_path)
     assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
 
 
 def test_check_semigroup_deterministic_and_exit_codes(tmp_path):
@@ -361,6 +362,10 @@ def test_check_forced_failure_exits_1(tmp_path):
 def test_check_unknown_name_exits_2(tmp_path):
     proc = run_cli(["check", "wat", "--out", str(tmp_path)], tmp_path)
     assert proc.returncode == 2
+    # in process, argparse's own exit for a choice it does not know
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "wat", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_check_strip_passes_quickly(tmp_path):

@@ -63,38 +63,33 @@ def test_draw_sample_disorder_off_and_validation():
         draw_sample(K1, 4, -1, 0)
 
 
-def test_lattice_smallest_dirichlet_box():
-    op = build_lattice(LatticeBoxSpec(1, 2, "dirichlet"), None)
-    vals = np.linalg.eigvalsh(op.to_dense())
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-
-
 def test_lattice_periodic_ring_spectrum():
-    op = build_lattice(LatticeBoxSpec(1, 4, "periodic"), None)
+    op = build_lattice(LatticeBoxSpec(1, 4), None)
     vals = np.sort(np.linalg.eigvalsh(op.to_dense()))
     assert np.allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_lattice_torus_degree():
-    op = build_lattice(LatticeBoxSpec(2, 3, "periodic"), None)
+    op = build_lattice(LatticeBoxSpec(2, 3), None)
     dense = op.to_dense()
     np.fill_diagonal(dense, 0.0)
     assert np.allclose(dense.sum(axis=1), 4.0)
 
 
 def test_lattice_periodic_side_two_not_doubled():
-    op = build_lattice(LatticeBoxSpec(1, 2, "periodic"), None)
+    op = build_lattice(LatticeBoxSpec(1, 2), None)
     dense = op.to_dense()
     assert dense[0, 1] == 1.0
+    assert np.allclose(np.linalg.eigvalsh(dense), [-1.0, 1.0], atol=1e-12)
 
 
 def test_lattice_sample_length_mismatch():
     with pytest.raises(ValueError):
-        build_lattice(LatticeBoxSpec(1, 8, "periodic"), draw_sample(K1, 7, 0, 0))
+        build_lattice(LatticeBoxSpec(1, 8), draw_sample(K1, 7, 0, 0))
 
 
 def test_builders_are_symmetric_and_deterministic():
-    spec = LatticeBoxSpec(2, 4, "periodic")
+    spec = LatticeBoxSpec(2, 4)
     s = draw_sample(K1, 16, 1, 0)
     a = build_lattice(spec, s).to_dense()
     b = build_lattice(spec, s).to_dense()
@@ -174,7 +169,7 @@ def test_partition_of_unity_on_mesh():
 
 def test_constant_shift_covariance_lattice_and_tree():
     c = -1.25
-    for spec in (LatticeBoxSpec(1, 50, "periodic"), TreeSpec(2, 3)):
+    for spec in (LatticeBoxSpec(1, 50), TreeSpec(2, 3)):
         n = site_count(spec)
         s = draw_sample(K1, n, 9, 1)
         shifted = DisorderSample(s.omegas + c)
@@ -194,7 +189,7 @@ def test_symmetric_operator_validation():
 
 
 def test_gershgorin_encloses_spectrum():
-    spec = LatticeBoxSpec(1, 40, "periodic")
+    spec = LatticeBoxSpec(1, 40)
     s = draw_sample(K1, 40, 2, 5)
     op = build_lattice(spec, s)
     lo, hi = op.gershgorin_interval()

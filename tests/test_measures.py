@@ -111,21 +111,21 @@ def _smeared(points, weights, lam, grid):
 def test_smear_point_mass_reproduces_kernel():
     # a single site without disorder has the point measure at 0
     grid = EnergyGrid(-5.0, 5.0, 0.1)
-    out = _site_curve(LatticeBoxSpec(1, 1, "dirichlet"), grid, 1.0)
+    out = _site_curve(LatticeBoxSpec(1, 1), grid, 1.0)
     assert np.allclose(out, cauchy_density(K1, grid.points), atol=1e-15)
 
 
 def test_smear_two_masses_value_at_zero():
     # the free 2-site chain: masses 1/2 at -1 and +1 for either site
     grid = EnergyGrid(-1.0, 1.0, 1.0)
-    out = _site_curve(LatticeBoxSpec(1, 2, "dirichlet"), grid, 1.0)
+    out = _site_curve(LatticeBoxSpec(1, 2), grid, 1.0)
     assert out[1] == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-12)
 
 
 def test_smear_even_spectrum_is_even():
     # the free 8-ring has a spectrum symmetric about 0
     grid = EnergyGrid(-4.0, 4.0, 0.25)
-    v = _site_curve(LatticeBoxSpec(1, 8, "periodic"), grid, 1.0)
+    v = _site_curve(LatticeBoxSpec(1, 8), grid, 1.0)
     assert np.max(np.abs(v - v[::-1])) < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_smear_windowed_mass_matches_arctan_correction():
     pts = 2.0 * np.cos(2.0 * np.pi * np.arange(6) / 6.0)
     w_half = 50 * lam + 2.0
     grid = EnergyGrid(-w_half, w_half, 0.01)
-    v = _site_curve(LatticeBoxSpec(1, 6, "periodic"), grid, lam)
+    v = _site_curve(LatticeBoxSpec(1, 6), grid, lam)
     mass = (0.5 * (v[0] + v[-1]) + v[1:-1].sum()) * grid.step
     expected = sum(
         (math.atan((w_half - e) / lam) + math.atan((w_half + e) / lam)) / math.pi

@@ -22,7 +22,7 @@ from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, write_c
 from cauchydos.spectra import (
     DENSE_CAP,
     McEstimate,
-    _refuse_oversized,
+    _refuse_deep_tree,
     _tree_green_diagonals,
     charfn_mc,
     chebyshev_evolve,
@@ -44,8 +44,15 @@ def test_eig_swap_matrix():
     assert np.allclose(eig.values, [-1.0, 1.0], atol=1e-14)
 
 
+def _path(omegas):
+    """The open chain with hopping 1 and ``omegas`` on the diagonal."""
+    n = omegas.size
+    return SymmetricOperator(n, np.r_[np.arange(n - 1), np.arange(n)],
+                             np.r_[np.arange(1, n), np.arange(n)], np.r_[np.ones(n - 1), omegas])
+
+
 def test_eig_path_graph_closed_form():
-    op = build_lattice(LatticeBoxSpec(1, 5, "dirichlet"), None)
+    op = _path(np.zeros(5))
     expected = sorted(2.0 * math.cos(k * math.pi / 6.0) for k in range(1, 6))
     assert np.allclose(eig_sym(op).values, expected, atol=1e-12)
 
@@ -71,10 +78,10 @@ def test_eig_invariants_random_instances():
 
 def test_eig_periodic_box_spectrum_enumeration():
     # d=1 and d=2 free periodic boxes against the plane-wave closed form
-    op1 = build_lattice(LatticeBoxSpec(1, 16, "periodic"), None)
+    op1 = build_lattice(LatticeBoxSpec(1, 16), None)
     expect1 = np.sort([2.0 * math.cos(2.0 * math.pi * k / 16) for k in range(16)])
     assert np.max(np.abs(eig_sym(op1).values - expect1)) < 1e-9
-    op2 = build_lattice(LatticeBoxSpec(2, 6, "periodic"), None)
+    op2 = build_lattice(LatticeBoxSpec(2, 6), None)
     expect2 = np.sort([
         2.0 * math.cos(2.0 * math.pi * k / 6) + 2.0 * math.cos(2.0 * math.pi * j / 6)
         for k in range(6) for j in range(6)
@@ -92,18 +99,29 @@ def test_eig_cap():
         eigvals_sym(op)
 
 
+def _band_case_id(spec):
+    # every box is periodic, and its id says so
+    if isinstance(spec, LatticeBoxSpec):
+        return f"LatticeBoxSpec(d={spec.d}, side={spec.side}, boundary='periodic')"
+    return repr(spec)
+
+
 @pytest.mark.parametrize("spec", [
     LatticeBoxSpec(1, 1), LatticeBoxSpec(1, 2), LatticeBoxSpec(1, 3), LatticeBoxSpec(1, 301),
-    LatticeBoxSpec(1, 300, "dirichlet"), BumpFamily(25, 0.1),
+    pytest.param(300, id="path-300"), BumpFamily(25, 0.1),
     LatticeBoxSpec(2, 1), LatticeBoxSpec(2, 2), LatticeBoxSpec(2, 3), LatticeBoxSpec(2, 8),
     LatticeBoxSpec(2, 45),
-], ids=repr)
+], ids=_band_case_id)
 def test_eigvals_sym_band_route_matches_dense(spec):
-    # chains, rings and d=2 boxes (interleaved width 2*side = 2*sqrt(n), the
-    # rule's edge) take the band solver; it must agree with the dense one
-    sample = draw_sample(CauchyKernel(0.5), spec.n_sites if isinstance(spec, LatticeBoxSpec)
-                         else spec.length, 7, 0)
-    op = build_operator(spec, sample)
+    # chains (an int: the open path of that many sites), rings and d=2 boxes
+    # (interleaved width 2*side = 2*sqrt(n), the rule's edge) take the band
+    # solver; it must agree with the dense one
+    if isinstance(spec, int):
+        op = _path(draw_sample(CauchyKernel(0.5), spec, 7, 0).omegas)
+    else:
+        sample = draw_sample(CauchyKernel(0.5), spec.n_sites if isinstance(spec, LatticeBoxSpec)
+                             else spec.length, 7, 0)
+        op = build_operator(spec, sample)
     dense = np.linalg.eigvalsh(op.to_dense())
     band = eigvals_sym(op)
     assert band.shape == dense.shape
@@ -144,13 +162,13 @@ def test_local_measure_swap_matrix():
 def test_empirical_ids_free_ring():
     # spectrum {2, 0, 0, -2}; the double zero splits at machine precision,
     # so probe just off zero as the one-sided limits
-    ids = ids_mc(LatticeBoxSpec(1, 4, "periodic"), None, [-1e-9, 1e-9, 2.0 + 1e-9], 1, 0)
+    ids = ids_mc(LatticeBoxSpec(1, 4), None, [-1e-9, 1e-9, 2.0 + 1e-9], 1, 0)
     assert np.allclose(ids.mean, [0.25, 0.75, 1.0], rtol=0, atol=1e-15)
 
 
 def test_empirical_ids_single_site_and_shift():
     # the count is right-continuous: a jump at E belongs to N(E)
-    box = LatticeBoxSpec(1, 1, "dirichlet")
+    box = LatticeBoxSpec(1, 1)
     assert np.array_equal(ids_mc(box, None, [-1e-12, 0.0], 1, 0).mean, [0.0, 1.0])
     # with disorder the one eigenvalue is the coupling itself
     omega = draw_sample(K1, 1, 3, 0).omegas[0]
@@ -204,14 +222,14 @@ def test_chebyshev_enclosure_violation_raises():
 
 
 def test_charfn_mc_t_zero_exact():
-    spec = LatticeBoxSpec(1, 32, "periodic")
+    spec = LatticeBoxSpec(1, 32)
     est = charfn_mc(spec, K1, EnergyGrid(0.0, 2.0, 0.5), 6, 0)
     assert est.mean[0] == 1.0 + 0.0j
     assert est.std_error[0] == 0.0
 
 
 def test_charfn_mc_free_matches_ring_eigensum():
-    spec = LatticeBoxSpec(1, 64, "periodic")
+    spec = LatticeBoxSpec(1, 64)
     grid = EnergyGrid(0.0, 3.0, 0.5)
     est = charfn_mc(spec, None, grid, 1, 0)
     eig = eig_sym(build_lattice(spec, None))
@@ -226,7 +244,7 @@ def test_charfn_mc_free_ring_close_to_infinite_lattice():
     # (signal speed 2, so wrap-around is far away)
     from cauchydos.free_models import bessel_j
 
-    spec = LatticeBoxSpec(1, 512, "periodic")
+    spec = LatticeBoxSpec(1, 512)
     grid = EnergyGrid(0.0, 6.0, 0.25)
     est = charfn_mc(spec, None, grid, 1, 0)
     exact = np.array([bessel_j(0, 2.0 * t) for t in grid.points])
@@ -234,7 +252,7 @@ def test_charfn_mc_free_ring_close_to_infinite_lattice():
 
 
 def test_charfn_mc_worker_count_bit_identical(monkeypatch):
-    spec = LatticeBoxSpec(1, 48, "periodic")
+    spec = LatticeBoxSpec(1, 48)
     grid = EnergyGrid(0.0, 2.0, 0.25)
     monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
     a = charfn_mc(spec, K1, grid, 8, 3)
@@ -256,7 +274,7 @@ def test_charfn_mc_on_tree_matches_eig_route():
 
 
 def test_charfn_mc_se_scaling():
-    spec = LatticeBoxSpec(1, 64, "periodic")
+    spec = LatticeBoxSpec(1, 64)
     grid = EnergyGrid(2.0, 2.0, 1.0)  # single t
     se_n = charfn_mc(spec, K1, grid, 80, 0).std_error[0]
     se_2n = charfn_mc(spec, K1, grid, 160, 0).std_error[0]
@@ -266,7 +284,7 @@ def test_charfn_mc_se_scaling():
 
 # criterion 3's ensemble; at seed 0 samples 243, 99 and 26 carry the largest
 # Gershgorin radii (about 30,800, 19,200 and 12,400 against a median of about 300)
-RING_512 = LatticeBoxSpec(1, 512, "periodic")
+RING_512 = LatticeBoxSpec(1, 512)
 CHARFN_TIMES = EnergyGrid(0.0, 6.0, 0.1).points
 
 
@@ -319,7 +337,7 @@ def test_krylov_charfn_steps_do_not_follow_the_largest_outlier():
 
 @pytest.mark.parametrize("side", [1, 2, 3])
 def test_krylov_charfn_tiny_boxes_break_down_exactly(side):
-    spec = LatticeBoxSpec(1, side, "periodic")
+    spec = LatticeBoxSpec(1, side)
     op = build_operator(spec, draw_sample(K1, side, 0, 0))
     times = EnergyGrid(-2.0, 2.0, 0.5).points
     for phi in range(side):
@@ -357,7 +375,7 @@ def _site_stieltjes(eig, energies, eta):
 
 
 def test_dos_mc_site_route_equals_explicit_smear():
-    spec = LatticeBoxSpec(1, 24, "periodic")
+    spec = LatticeBoxSpec(1, 24)
     grid = EnergyGrid(-3.0, 3.0, 0.5)
     eta = 0.4
     est = dos_mc(spec, K1, grid, 1, 5, eta, estimator="site")
@@ -367,7 +385,7 @@ def test_dos_mc_site_route_equals_explicit_smear():
 
 
 def test_dos_mc_trace_and_site_agree_statistically():
-    spec = LatticeBoxSpec(1, 64, "periodic")
+    spec = LatticeBoxSpec(1, 64)
     grid = EnergyGrid(-2.0, 2.0, 0.5)
     eta = 0.5
     tr = dos_mc(spec, K1, grid, 200, 1, eta, estimator="trace")
@@ -377,7 +395,7 @@ def test_dos_mc_trace_and_site_agree_statistically():
 
 
 def test_dos_mc_mean_mass_bounded_by_one():
-    spec = LatticeBoxSpec(1, 64, "periodic")
+    spec = LatticeBoxSpec(1, 64)
     grid = EnergyGrid(-30.0, 30.0, 0.05)
     est = dos_mc(spec, K1, grid, 10, 2, 0.3)
     mass = (0.5 * (est.mean[0] + est.mean[-1]) + est.mean[1:-1].sum()) * grid.step
@@ -385,7 +403,7 @@ def test_dos_mc_mean_mass_bounded_by_one():
 
 
 def test_dos_mc_free_matches_exact_curve():
-    spec = LatticeBoxSpec(1, 2000, "periodic")
+    spec = LatticeBoxSpec(1, 2000)
     grid = EnergyGrid(-4.0, 4.0, 0.25)
     est = dos_mc(spec, None, grid, 1, 0, 1.0)
     model = LatticeFreeModel(1)
@@ -394,7 +412,7 @@ def test_dos_mc_free_matches_exact_curve():
 
 
 def test_dos_mc_validation():
-    spec = LatticeBoxSpec(1, 16, "periodic")
+    spec = LatticeBoxSpec(1, 16)
     grid = EnergyGrid(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         dos_mc(spec, K1, grid, 4, 0, 0.0)
@@ -432,9 +450,9 @@ def test_dos_mc_tree_recursion_equals_dense_route():
 
 def test_tree_sweep_bound_admits_k2_up_to_depth_17():
     # deepest level times the 48-energy chunk: 3 * 2^16 * 48 = 9.4e6 <= MAX_GRID_POINTS
-    _refuse_oversized(TreeSpec(2, 17))
+    _refuse_deep_tree(TreeSpec(2, 17))
     with pytest.raises(CapExceededError):
-        _refuse_oversized(TreeSpec(2, 18))
+        _refuse_deep_tree(TreeSpec(2, 18))
 
 
 def test_dos_mc_depth_zero_tree_is_pure_cauchy():
@@ -459,13 +477,43 @@ def test_tree_green_depth_zero_single_site():
 
 def test_dos_mc_deterministic_across_runs_and_workers(monkeypatch):
     grid = EnergyGrid(-2.0, 2.0, 0.25)
-    for spec in (LatticeBoxSpec(1, 48, "periodic"), TreeSpec(2, 6)):
+    for spec in (LatticeBoxSpec(1, 48), TreeSpec(2, 6)):
         monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
         a = dos_mc(spec, K1, grid, 12, 4, 0.3)
         monkeypatch.setenv("CAUCHYDOS_THREADS", "2")
         b = dos_mc(spec, K1, grid, 12, 4, 0.3)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.std_error, b.std_error)
+
+
+def test_ids_mc_refuses_a_tree_above_the_dense_cap_before_sampling(monkeypatch):
+    # ids_mc counts a tree's eigenvalues with dense LAPACK, so DENSE_CAP bounds
+    # it, not the pivot sweep's bound that dos_mc applies to trees
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the cap check")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
+    assert TreeSpec(2, 11).n_vertices > DENSE_CAP
+    with pytest.raises(CapExceededError):
+        ids_mc(TreeSpec(2, 11), K1, [0.0], 1, 0)
+
+
+def test_dos_mc_energy_blocks_do_not_move_the_curves(monkeypatch):
+    # a cap of 2000 broadening entries splits 161 energies into blocks of
+    # 6 (ring), 13 (d=2 box) and 8 (mesh) energies, the last one short
+    grid = EnergyGrid(-4.0, 4.0, 0.05)
+    specs = (LatticeBoxSpec(1, 300), LatticeBoxSpec(2, 12), BumpFamily(25, 0.1))
+    whole = {(spec, est): dos_mc(spec, K1, grid, 3, 5, 0.2, estimator=est)
+             for spec in specs for est in ("trace", "site")}
+    monkeypatch.setattr("cauchydos.spectra.MAX_GRID_POINTS", 2000)
+    for (spec, est), ref in whole.items():
+        blocks = dos_mc(spec, K1, grid, 3, 5, 0.2, estimator=est)
+        if est == "trace":
+            assert np.array_equal(blocks.mean, ref.mean)
+            assert np.array_equal(blocks.std_error, ref.std_error)
+        else:
+            # the site curve is a BLAS product, whose rounding may follow the block
+            assert np.max(np.abs(blocks.mean - ref.mean)) <= 1e-14 * np.max(np.abs(ref.mean))
 
 
 def test_ids_mc_free_single_sample_matches_direct_count():
@@ -498,7 +546,7 @@ def test_mc_estimate_csv_single_sample_drops_se(tmp_path):
 
 def test_sample_failure_is_annotated():
     # draw_sample validates the seed inside the per-sample task
-    spec = LatticeBoxSpec(1, 16, "periodic")
+    spec = LatticeBoxSpec(1, 16)
     grid = EnergyGrid(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match=r"\[sample 0\]"):
         dos_mc(spec, K1, grid, 2, -3, 0.1)
