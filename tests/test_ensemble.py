@@ -76,11 +76,17 @@ def test_lattice_torus_degree():
     assert np.allclose(dense.sum(axis=1), 4.0)
 
 
+def test_lattice_smallest_dirichlet_box():
+    # A side-2 ring has one bond, so it is the two-site Dirichlet chain.
+    op = build_lattice(LatticeBoxSpec(1, 2), None)
+    vals = np.linalg.eigvalsh(op.to_dense())
+    assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
+
+
 def test_lattice_periodic_side_two_not_doubled():
     op = build_lattice(LatticeBoxSpec(1, 2), None)
     dense = op.to_dense()
     assert dense[0, 1] == 1.0
-    assert np.allclose(np.linalg.eigvalsh(dense), [-1.0, 1.0], atol=1e-12)
 
 
 def test_lattice_sample_length_mismatch():
