@@ -174,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _GRID_LIKE
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, seeded=True):
         p._negative_number_matcher = _GRID_LIKE
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default cwd)")
 
     p_exact = sub.add_parser("exact", help="write an exact smoothed DOS/IDS curve")
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--lambda", dest="lam", type=float, required=True,
                          help="Cauchy disorder scale")
     p_exact.add_argument("--grid", required=True, help="energy grid min:max:step")
-    add_common(p_exact)
+    add_common(p_exact, seeded=False)  # exact curves draw no samples
     p_exact.set_defaults(func=_cmd_exact)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo broadened DOS over disorder")

@@ -116,8 +116,8 @@ def free_stieltjes(model, z):
 
     On the real axis the Kesten-McKay and continuum forms give the boundary
     value m(E + i0), which ``checks.check_continuum_ids`` reads; the Z^d
-    routes for d >= 2 are valid for Im z > 0 only. Outside its domain
-    ValueError is raised.
+    routes for d >= 2 are valid for Im z > 0 only. Outside its domain, and
+    at a NaN or infinite z, ValueError is raised.
 
     * Bethe tree and chain: the Kesten-McKay transform (McKay, Linear Algebra
       Appl. 40, 203, 1981), written as 2K / ((1-K) z - (K+1) sqrt(z^2 - 4K))
@@ -133,14 +133,16 @@ def free_stieltjes(model, z):
     """
     z = np.asarray(z, dtype=complex)
     strict = isinstance(model, LatticeFreeModel) and model.d >= 2
-    if np.any(z.imag <= 0) if strict else np.any(z.imag < 0):
-        raise ValueError(f"free_stieltjes for this model requires Im z {'>' if strict else '>='} 0")
+    below = z.imag <= 0 if strict else z.imag < 0
+    if np.any(below | ~np.isfinite(z)):
+        raise ValueError(f"free_stieltjes for this model requires Im z {'>' if strict else '>='} 0"
+                         " and a finite z")
     if isinstance(model, ContinuumFreeModel):
         return 1j * np.sqrt(z)
     if isinstance(model, LatticeFreeModel) and model.d == 2:
         a, b = np.ones_like(z), np.sqrt(1.0 - 4.0 / z) * np.sqrt(1.0 + 4.0 / z)
         for _ in range(64):  # quadratic convergence needs far fewer steps
-            if not np.any(np.abs(a - b) > 1e-15 * np.abs(a)):  # NaN stays NaN
+            if not np.any(np.abs(a - b) > 1e-15 * np.abs(a)):
                 return -1.0 / (z * a)
             a, b = (a + b) / 2.0, np.sqrt(a) * np.sqrt(b)
         raise ValueError("the Z^2 arithmetic-geometric mean did not converge in 64 steps")
@@ -164,13 +166,12 @@ def _lattice_laplace(d: int, zeta) -> np.ndarray:
     every node is t = tau_b + s_k. As exp(-zeta t) = exp(-zeta tau_b)
     exp(-zeta s_k), the node sum is one matrix product with exp(-s zeta) and a
     contraction with exp(-tau zeta): a few hundred exponentials per energy.
-    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1. NaN points give NaN
-    and do not enter the node grid.
+    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    margin = float(np.fmin.reduce(zeta.real, axis=None, initial=np.inf))
+    margin = float(np.min(zeta.real, initial=np.inf))
     tmax = -math.log(TRUNCATION_EPS) / margin
-    e_max = float(np.fmax.reduce(np.abs(zeta.imag), axis=None, initial=0.0))
+    e_max = float(np.max(np.abs(zeta.imag), initial=0.0))
     n_panels = max(1, int(math.ceil(tmax / min(0.5, 8.0 / max(e_max + 2.0 * d, 1.0)))))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     if nodes.size * n_panels > MAX_GRID_POINTS:

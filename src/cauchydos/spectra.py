@@ -134,8 +134,9 @@ def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
 
         exp(itH) = exp(ibt) * sum_n (2 - delta_n0) (i sgn t)^n J_n(a|t|) T_n((H-b)/a),
 
-    truncated at the first n > a|t| + 40 with |J_n(a|t|)| < 1e-15. Norm drift
-    beyond 1e-6 signals a violated enclosure and raises EnclosureError.
+    summed over the whole window n <= a|t| + 100 + 14 (a|t|)^(1/3), past which
+    |J_n(a|t|)| is below 1e-15. Norm drift beyond 1e-6 signals a violated
+    enclosure and raises EnclosureError.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.n,):
@@ -147,18 +148,11 @@ def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
         bound = (0.5 * (hi - lo) + 1e-9, 0.5 * (hi + lo))
     a, b = bound
     x = a * abs(t)
-    n_hard = int(math.ceil(x + 40))
-    # the Bessel tail turns over within ~x^(1/3) orders past n = x, so give the
-    # cutoff search enough room before falling back to the full window
-    n_max = n_hard + 60 + int(math.ceil(14.0 * x ** (1.0 / 3.0)))
+    # the Bessel tail turns over within ~x^(1/3) orders past n = x
+    n_max = int(math.ceil(x + 40)) + 60 + int(math.ceil(14.0 * x ** (1.0 / 3.0)))
     from scipy.special import jv
 
     coeffs = jv(np.arange(n_max + 1), x)
-    n_cut = n_max
-    for n in range(n_hard + 1, n_max + 1):
-        if abs(coeffs[n]) < 1e-15:
-            n_cut = n
-            break
     csr = op.to_csr()
     inv_a = 1.0 / a
     shift = b * inv_a
@@ -167,13 +161,11 @@ def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
     t_cur = csr.dot(v) * inv_a - shift * v
     out = coeffs[0] * t_prev + (2.0 * unit * coeffs[1]) * t_cur
     phase_n = unit
-    for n in range(2, n_cut + 1):
+    for n in range(2, n_max + 1):
         phase_n = phase_n * unit
         t_next = 2.0 * (csr.dot(t_cur) * inv_a - shift * t_cur) - t_prev
         t_prev, t_cur = t_cur, t_next
-        c = coeffs[n]
-        if c != 0.0:
-            out += (2.0 * phase_n * c) * t_cur
+        out += (2.0 * phase_n * coeffs[n]) * t_cur
     out *= np.exp(1j * b * t)
     norm_in = np.linalg.norm(v)
     drift = abs(np.linalg.norm(out) - norm_in)
@@ -276,11 +268,12 @@ class McEstimate:
 def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray) -> McEstimate:
     """Evaluate per_sample(i), one curve over ``x``, for i in range(n_samples).
 
-    The curves are reduced in index order afterwards to a pointwise mean and
-    standard error, so the outcome is bit-identical no matter how many workers
-    ran or how they were scheduled. The variance is var(re) + var(im); for
-    real curves the second term is exactly 0. Failures are re-raised annotated
-    with the offending sample index.
+    Every run takes a pool of min(workers, n_samples) threads. The curves are
+    reduced in index order afterwards to a pointwise mean and standard error,
+    so the outcome is bit-identical no matter how many workers ran or how they
+    were scheduled. The variance is var(re) + var(im); for real curves the
+    second term is exactly 0. Failures are re-raised annotated with the
+    offending sample index; samples not yet started are then cancelled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -294,15 +287,8 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray) -> McE
             except TypeError:
                 raise RuntimeError(f"[sample {i}] {exc}") from exc
 
-    results = [None] * n_samples
-    if workers == 1 or n_samples == 1:
-        for i in range(n_samples):
-            results[i] = guarded(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(guarded, range(n_samples))):
-                results[i] = res
-    curves = np.array(results)
+    with ThreadPoolExecutor(max_workers=min(workers, n_samples)) as pool:
+        curves = np.array(list(pool.map(guarded, range(n_samples))))
     se = None
     if n_samples >= 2:
         var = curves.real.var(axis=0, ddof=1) + curves.imag.var(axis=0, ddof=1)

@@ -71,6 +71,14 @@ def test_missing_lambda_is_usage_error(tmp_path):
     assert "usage" in (proc.stderr + proc.stdout).lower()
 
 
+def test_exact_takes_no_seed(tmp_path):
+    # exact curves draw no samples, so there is no seed to set
+    proc = run_cli(["exact", "--model", "lattice", "--lambda", "1", "--grid", "-1:1:0.5",
+                    "--seed", "1", "--out", str(tmp_path)], tmp_path)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed" in proc.stderr
+
+
 def test_bad_grid_is_usage_error(tmp_path):
     proc = run_cli(["exact", "--model", "lattice", "--lambda", "1", "--grid", "nope"],
                    tmp_path)

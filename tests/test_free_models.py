@@ -527,13 +527,15 @@ def test_time_integral_refuses_node_counts_past_the_grid_cap():
     assert exact_smoothed(LatticeFreeModel(2), k, 2e5) == pytest.approx(tail, rel=1e-8)
 
 
-def test_nan_energy_gives_nan_on_the_agm_and_time_integral_routes():
-    # a NaN neither stalls the AGM loop nor sizes the d >= 3 node grid
-    k, e = CauchyKernel(1.0), np.array([np.nan, 0.5])
-    with np.errstate(invalid="ignore"):  # complex division by NaN warns, as in every closed form
-        agm = exact_smoothed(LatticeFreeModel(2), k, e)
-    for p in (agm, exact_smoothed(LatticeFreeModel(3), k, e)):
-        assert np.isnan(p[0]) and np.isfinite(p[1])
+def test_non_finite_energy_is_refused_by_every_model():
+    # a NaN or infinite energy would reach a closed form, the AGM loop or the
+    # d >= 3 node grid; the domain check refuses it first, for every model
+    k = CauchyKernel(1.0)
+    for model in (LatticeFreeModel(1), LatticeFreeModel(2), LatticeFreeModel(3),
+                  BetheFreeModel(2), ContinuumFreeModel()):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="requires Im z"):
+                exact_smoothed(model, k, np.array([bad, 0.5]))
 
 
 def test_free_stieltjes_refuses_points_outside_its_domain():

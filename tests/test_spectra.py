@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -553,6 +554,25 @@ def test_sample_failure_is_annotated():
     # a ring of DENSE_CAP + 1 sites is refused before any sample is drawn
     with pytest.raises(CapExceededError):
         dos_mc(LatticeBoxSpec(1, DENSE_CAP + 1), K1, grid, 2, 0, 0.1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sample_stops_the_pool(monkeypatch, workers):
+    # the samples queued behind a failure are cancelled, not drawn
+    calls = []
+
+    def failing_first(kernel, n_sites, master_seed, i):
+        calls.append(i)
+        if i == 0:
+            raise ValueError("drawn to fail")
+        time.sleep(0.05)
+        return draw_sample(kernel, n_sites, master_seed, i)
+
+    monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_first)
+    with pytest.raises(ValueError, match=r"\[sample 0\] drawn to fail"):
+        dos_mc(LatticeBoxSpec(1, 16), K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 0, 0.1)
+    assert len(calls) <= workers + 1
 
 
 def test_solver_error_digest_is_the_same_in_every_process():
