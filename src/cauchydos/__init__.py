@@ -25,7 +25,6 @@ from .free_models import (
     BetheFreeModel,
     ContinuumFreeModel,
     LatticeFreeModel,
-    bessel_j,
     exact_smoothed,
     free_stieltjes,
     lattice_dos_smoothed,

@@ -42,7 +42,6 @@ __all__ = [
     "BetheFreeModel",
     "ContinuumFreeModel",
     "LatticeFreeModel",
-    "bessel_j",
     "exact_smoothed",
     "free_stieltjes",
     "lattice_box_charfn",
@@ -203,15 +202,8 @@ def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind and lattice free amplitudes.
+# Lattice free amplitudes.
 # ---------------------------------------------------------------------------
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), integer order n >= 0."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError("order n must be a nonnegative integer")
-    return float(jv(n, x))
 
 
 def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
@@ -250,11 +242,12 @@ def truncated_tree_stieltjes(K: int, depth: int, z):
     one pivot d_l and its z-derivative d'_l: leaves d = -z, d' = -1; a vertex
     with c children d = -z - c/d_child, d' = -1 + c d'_child/d_child^2. The
     root transform is 1/d_root; the trace is the log-determinant derivative
-    -sum_l count_l d'_l/d_l. Valid for Im z > 0. Returns (root, mean).
+    -sum_l count_l d'_l/d_l. Valid for Im z > 0; at a NaN or infinite z, as
+    outside that domain, ValueError is raised. Returns (root, mean).
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("truncated_tree_stieltjes requires Im z > 0")
+    if np.any((z.imag <= 0) | ~np.isfinite(z)):
+        raise ValueError("truncated_tree_stieltjes requires Im z > 0 and a finite z")
     d, slope, trace = -z, -1.0, 0.0
     for level in range(depth, 0, -1):
         children = K + 1 if level == 1 else K

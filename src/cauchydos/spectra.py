@@ -2,7 +2,8 @@
 
 Two independent experimental routes are provided: an energy-domain one built
 on eigendecomposition (on trees, on a leaf-to-root sweep over the LDL^T
-pivots of H - z), and a time-domain one built on a Lanczos (Krylov)
+pivots of H - z; for the IDS of chains, rings and meshes, on a Sturm count of
+the pivots of H - E), and a time-domain one built on a Lanczos (Krylov)
 propagator for exp(itH). A bug in either is caught by disagreement with the
 exact curves of ``free_models``, which nothing here imports. The Chebyshev
 expansion of exp(itH) cross-checks the Lanczos propagator.
@@ -20,6 +21,7 @@ import numpy as np
 
 from .ensemble import (
     BumpFamily,
+    LatticeBoxSpec,
     SymmetricOperator,
     TreeSpec,
     build_operator,
@@ -119,6 +121,73 @@ def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
         return eigvals_banded(band, lower=True, check_finite=False)
 
     return _guarded_solve(op, solve)
+
+
+# sites per block of the Sturm sweep, whose pivots are counted a block at a time
+_STURM_BLOCK = 64
+
+
+def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues E_k <= E of a chain, ring or mesh at each E in ``e``.
+
+    No eigenvalue is computed. ``op`` has bonds (k, k+1) only, plus the
+    wrapping bond (0, n-1) of a ring.
+    Site 0 removed, the open path on sites 1..n-1 (0..n-1 without a wrapping
+    bond) has as many eigenvalues below E as H - E has negative pivots
+
+        d_k = (a_k - E) - b_{k-1}^2 / d_{k-1}
+
+    (Dean, Proc. R. Soc. A 254, 507, 1960). A pivot with |d| < pivmin =
+    tiny * max(1, max b^2) becomes -pivmin, as in LAPACK's dstebz, so a zero
+    pivot counts and the path's count is that of E_k <= E. By Cauchy
+    interlacing a ring has the path's count or one more; the sign of
+    det(H - E) picks which. That sign is the sign of the permutation times
+    those of diag(U) from one banded LU with partial pivoting per energy
+    (``dgbtrf``, backward stable) on the interleaved band of ``_band_form``
+    (w = 2); at an energy that is an eigenvalue of the ring, rounding decides
+    it, as rounding decides a band solver's count there. Work O(n m), memory
+    O(m) for m energies. The counts take the shape of ``e``.
+    """
+    shape, e = e.shape, e.ravel()
+    n = op.n
+    on = op.rows == op.cols
+    diag = np.zeros(n)
+    diag[op.rows[on]] = op.vals[on]
+    step = op.cols == op.rows + 1
+    bond2 = np.zeros(n)  # bond2[k] = b_{k-1}^2, the bond of sites k-1 and k squared
+    bond2[op.cols[step]] = op.vals[step] ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(op.vals[~on] ** 2, initial=0.0)))
+    ring = n > 2 and bool(np.any(op.cols - op.rows == n - 1))
+    count = np.zeros(e.size, dtype=np.int64)
+    pivot = None
+    for start in range(int(ring), n, _STURM_BLOCK):
+        block = diag[start:start + _STURM_BLOCK, None] - e
+        for k, row in enumerate(block, start):
+            if pivot is not None:
+                row -= bond2[k] / pivot
+            np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+            pivot = row
+        count += np.count_nonzero(block < 0, axis=0)
+    if ring:
+        from scipy.linalg.lapack import dgbtrf
+
+        band = _band_form(op)
+        w = band.shape[0] - 1
+        # general band storage of dgbtrf: diagonal in row 2w, w rows left for fill-in
+        general = np.zeros((3 * w + 1, n))
+        for r in range(w + 1):
+            general[2 * w - r, r:] = general[2 * w + r, :n - r] = band[r, :n - r]
+        unswapped = np.arange(n)
+        odd = np.empty(e.size, dtype=bool)
+        for j, energy in enumerate(e):
+            shifted = general.copy()
+            shifted[2 * w] -= energy
+            lu, piv, _ = dgbtrf(shifted, w, w, overwrite_ab=True)
+            # a zero on diag(U) counts as negative, as a zero pivot does above
+            flips = np.count_nonzero(piv != unswapped) + np.count_nonzero(lu[2 * w] <= 0)
+            odd[j] = flips % 2 == 1
+        count += (count % 2 == 1) != odd
+    return count.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +488,26 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
 
     Counts are divided by the box volume: the bump count for continuum meshes,
-    the site count otherwise.
+    the site count otherwise. Chains, rings and meshes (d=1 boxes and bump
+    families) are counted by ``_sturm_counts`` and have no size cap; trees and
+    d>=2 boxes count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP.
     """
     e_points = np.asarray(e_points, dtype=float)
     n_sites = site_count(model_spec)
-    _refuse_dense(model_spec)
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
+    if isinstance(model_spec, BumpFamily) or (isinstance(model_spec, LatticeBoxSpec)
+                                              and model_spec.d == 1):
+        count = _sturm_counts
+    else:
+        _refuse_dense(model_spec)
+
+        def count(op, e):
+            # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
+            return np.searchsorted(eigvals_sym(op), e, side="right")
 
     def per_sample(i):
-        sample = draw_sample(kernel, n_sites, master_seed, i)
-        values = eigvals_sym(build_operator(model_spec, sample))
-        # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
-        return np.searchsorted(values, e_points, side="right") / volume
+        op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
+        return count(op, e_points) / volume
 
     return _run_samples(per_sample, n_samples, worker_count(), e_points)
 

@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from conftest import child_env
+from scipy.special import jv
 
 from cauchydos.cli import main
 from cauchydos.ensemble import TreeSpec
@@ -248,10 +250,9 @@ def test_charfn_csv_columns_and_exact(tmp_path):
     assert header == ["t", "mean", "mean_im", "std_error", "exact", "exact_im"]
     first = rows[0]
     assert float(first[1]) == 1.0 and float(first[3]) == 0.0
-    from cauchydos.free_models import bessel_j
     for r in rows:
         t = float(r[0])
-        assert abs(float(r[4]) - math.exp(-t) * bessel_j(0, 2 * t)) < 1e-10
+        assert abs(float(r[4]) - math.exp(-t) * jv(0, 2 * t)) < 1e-10
         assert float(r[5]) == 0.0
 
 
@@ -261,11 +262,10 @@ def test_charfn_offdiagonal_exact_column(tmp_path):
                "--psi-offset", "1", "--out", str(tmp_path)])
     assert rc == 0
     _, rows = read_csv(tmp_path / "charfn_lattice.csv")
-    from cauchydos.free_models import bessel_j
     for r in rows:
         t = float(r[0])
         assert abs(float(r[4])) < 1e-12  # purely imaginary free amplitude
-        assert abs(float(r[5]) - math.exp(-t) * bessel_j(1, 2 * t)) < 1e-10
+        assert abs(float(r[5]) - math.exp(-t) * jv(1, 2 * t)) < 1e-10
 
 
 def test_charfn_exact_column_decodes_box_sites(tmp_path):
@@ -275,10 +275,9 @@ def test_charfn_exact_column_decodes_box_sites(tmp_path):
                "--psi-offset", "9", "--out", str(tmp_path)])
     assert rc == 0
     _, rows = read_csv(tmp_path / "charfn_lattice.csv")
-    from cauchydos.free_models import bessel_j
     for r in rows:
         t = float(r[0])
-        assert abs(float(r[4]) + math.exp(-t) * bessel_j(1, 2 * t) ** 2) < 1e-12
+        assert abs(float(r[4]) + math.exp(-t) * jv(1, 2 * t) ** 2) < 1e-12
         assert abs(float(r[5])) < 1e-12
 
 
@@ -317,6 +316,31 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append([p.read_bytes() for p in sorted(out.glob("*.csv"))])
         assert outputs[0] and outputs[0] == outputs[1], name
+
+
+def test_ids_bytes_do_not_depend_on_blas_or_sample_threads():
+    # the Sturm count of a mesh and of a d=1 ring: the path sweep and the ring's banded LU
+    script = textwrap.dedent("""
+        import numpy as np
+        from cauchydos.ensemble import BumpFamily, LatticeBoxSpec
+        from cauchydos.measures import CauchyKernel
+        from cauchydos.spectra import ids_mc
+
+        for spec in (BumpFamily(50, 0.1), LatticeBoxSpec(1, 400)):
+            est = ids_mc(spec, CauchyKernel(0.5), np.linspace(-3.0, 5.0, 41), 6, 9)
+            print(est.mean.tobytes().hex(), est.std_error.tobytes().hex())
+    """)
+    outputs = []
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            env = child_env()
+            env.update({"OPENBLAS_NUM_THREADS": blas, "CAUCHYDOS_THREADS": workers})
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 2
+    assert all(o == outputs[0] for o in outputs[1:])
 
 
 def test_malformed_thread_count_is_usage_error(tmp_path):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from cauchydos.ensemble import (
     BumpFamily,
@@ -16,6 +17,7 @@ from cauchydos.ensemble import (
     build_operator,
     build_tree,
     draw_sample,
+    site_count,
 )
 from cauchydos.errors import CapExceededError, EnclosureError
 from cauchydos.free_models import lattice_dos_smoothed, LatticeFreeModel
@@ -23,7 +25,9 @@ from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, write_c
 from cauchydos.spectra import (
     DENSE_CAP,
     McEstimate,
+    _band_form,
     _refuse_deep_tree,
+    _sturm_counts,
     _tree_green_diagonals,
     charfn_mc,
     chebyshev_evolve,
@@ -177,6 +181,53 @@ def test_empirical_ids_single_site_and_shift():
     assert np.array_equal(ids_mc(box, K1, at, 1, 3).mean, [0.0, 1.0])
 
 
+def _free_ring_spectrum(side):
+    """2 cos(2 pi k / side); at sides 1 and 2 no bond wraps, so the open path's."""
+    if side <= 2:
+        return np.array({1: [0.0], 2: [-1.0, 1.0]}[side])
+    return np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(side) / side))
+
+
+@pytest.mark.parametrize("side", range(1, 13))
+def test_sturm_counts_of_free_rings_match_the_closed_form(side):
+    # E=0 on an odd side makes the first pivot of the path exactly zero; a
+    # Schur complement of site 0 carried through the sweep loses its sign there
+    spectrum = _free_ring_spectrum(side)
+    probes = np.concatenate([spectrum - 1e-9, spectrum + 1e-9, [0.0] if side % 2 else []])
+    counts = _sturm_counts(build_lattice(LatticeBoxSpec(1, side)), probes)
+    assert np.array_equal(counts, np.searchsorted(spectrum, probes, side="right"))
+
+
+@pytest.mark.parametrize("spec, scale", [
+    *[(LatticeBoxSpec(1, side), 1.0) for side in (1, 2, 3, 4, 7, 50)],
+    (LatticeBoxSpec(1, 50), 1e8), (BumpFamily(25, 0.1), 1.0), (BumpFamily(25, 0.1), 1e8),
+], ids=repr)
+def test_sturm_counts_match_the_band_eigenvalue_count(spec, scale):
+    # 200 Cauchy-spread energies at the disorder's scale, about the centre of
+    # the clean spectrum (0 on a ring, 2/h^2 on a mesh)
+    kernel = CauchyKernel(scale)
+    op = build_operator(spec, draw_sample(kernel, site_count(spec), 11, 0))
+    centre = 2.0 / spec.h ** 2 if isinstance(spec, BumpFamily) else 0.0
+    energies = centre + scale * np.tan(np.pi * (np.arange(200) + 0.5) / 200 - np.pi / 2)
+    expected = np.searchsorted(eigvals_sym(op), energies, side="right")
+    assert np.array_equal(_sturm_counts(op, energies), expected)
+    # the counts take the shape of the energies, as searchsorted's do
+    assert np.array_equal(_sturm_counts(op, energies.reshape(20, 10)), expected.reshape(20, 10))
+    assert _sturm_counts(op, energies[7:8].reshape(())) == expected[7]
+
+
+def test_ids_mc_counts_a_ring_above_the_dense_cap():
+    # the Sturm route has no DENSE_CAP: its work is O(n m) and its memory O(m)
+    from scipy.linalg import eigvals_banded
+
+    spec = LatticeBoxSpec(1, DENSE_CAP + 1)
+    energies = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
+    op = build_operator(spec, draw_sample(K1, spec.n_sites, 0, 0))
+    values = eigvals_banded(_band_form(op), lower=True)
+    expected = np.searchsorted(values, energies, side="right") / spec.n_sites
+    assert np.array_equal(ids_mc(spec, K1, energies, 1, 0).mean, expected)
+
+
 def test_chebyshev_identity_at_zero():
     v = np.array([0.3 + 0.1j, -0.2j, 0.5])
     op = random_sparse_symmetric(3, 1)
@@ -243,12 +294,10 @@ def test_charfn_mc_free_matches_ring_eigensum():
 def test_charfn_mc_free_ring_close_to_infinite_lattice():
     # disorder off: the L=512 ring amplitude tracks J_0(2t) for t <= 6
     # (signal speed 2, so wrap-around is far away)
-    from cauchydos.free_models import bessel_j
-
     spec = LatticeBoxSpec(1, 512)
     grid = EnergyGrid(0.0, 6.0, 0.25)
     est = charfn_mc(spec, None, grid, 1, 0)
-    exact = np.array([bessel_j(0, 2.0 * t) for t in grid.points])
+    exact = jv(0, 2.0 * grid.points)
     assert np.max(np.abs(est.mean - exact)) <= 2e-2
 
 
