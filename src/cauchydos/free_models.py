@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, jv
 
 from .errors import OutsideStripError
 from .measures import MAX_GRID_POINTS, CauchyKernel
@@ -167,6 +166,8 @@ def _lattice_laplace(d: int, zeta) -> np.ndarray:
     contraction with exp(-tau zeta): a few hundred exponentials per energy.
     Re zeta > 0 and tau, s >= 0, so no factor exceeds 1.
     """
+    from scipy.special import j0
+
     zeta = np.asarray(zeta, dtype=complex)
     margin = float(np.min(zeta.real, initial=np.inf))
     tmax = -math.log(TRUNCATION_EPS) / margin
@@ -217,6 +218,8 @@ def lattice_box_charfn(model: LatticeFreeModel, kernel: CauchyKernel, side: int,
     factorizes over axes as prod_j i^{x_j} J_{x_j}(2t), and negative offsets
     enter through J_{-m}(y) = (-1)^m J_m(y).
     """
+    from scipy.special import jv
+
     shape = (side,) * model.d
     phi = np.array(np.unravel_index(phi_site, shape, order="F"))
     psi = np.array(np.unravel_index(psi_site, shape, order="F"))

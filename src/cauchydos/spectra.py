@@ -491,8 +491,11 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     the site count otherwise. Chains, rings and meshes (d=1 boxes and bump
     families) are counted by ``_sturm_counts`` and have no size cap; trees and
     d>=2 boxes count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP.
+    A NaN or infinite energy raises ValueError before any sample is drawn.
     """
     e_points = np.asarray(e_points, dtype=float)
+    if not np.all(np.isfinite(e_points)):
+        raise ValueError("ids_mc requires finite energies")
     n_sites = site_count(model_spec)
     volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
     if isinstance(model_spec, BumpFamily) or (isinstance(model_spec, LatticeBoxSpec)

@@ -1,6 +1,8 @@
 import pytest
 
+from cauchydos import checks
 from cauchydos.checks import (
+    CHECK_NAMES,
     CheckReport,
     check_analytic_strip,
     check_bethe_dos,
@@ -118,11 +120,79 @@ def test_run_check_dispatch_and_unknown_name():
 
 def test_run_check_calls_the_check_bound_at_call_time(monkeypatch):
     # the benchmark tracer rebinds checks.check_* and relies on run_check seeing it
-    from cauchydos import checks
-
     sentinel = CheckReport("semigroup", {}, {"sup_dist": 0.0}, {"sup_dist": 1e-4}, None)
     monkeypatch.setattr(checks, "check_semigroup", lambda: sentinel)
     assert run_check("semigroup") is sentinel
+
+
+# each check at a small size, with the parameters, seed and thresholds its
+# report records: every argument with defaults applied, grids and tuples as
+# lists, then the check's constants; the seed never among the parameters
+RECORDED = {
+    "semigroup": (check_semigroup, {},
+                  {"lam1": 0.5, "lam2": 0.5, "d": 1, "window": 8.0}, None,
+                  {"sup_dist": 1e-4}),
+    "strip": (check_analytic_strip, {"heights": (0.1, -0.2)},
+              {"d": 1, "lam": 1.0, "heights": [0.1, -0.2],
+               "e_points": [-3.0, -1.0, 0.0, 1.5, 3.0], "fd_step": 1e-4}, None,
+              {"max_cr_residual": 1e-5, "outside_strip_misses": 0.5}),
+    "charfn": (check_charfn_identity,
+               {"side": 128, "n_samples": 40, "t_max": 3.0, "seed": 1, "psi_offset": 1},
+               {"d": 1, "lam": 1.0, "side": 128, "n_samples": 40, "t_max": 3.0,
+                "t_step": 0.1, "psi_offset": 1}, 1,
+               {"excess_ratio": 1.0}),
+    "dos": (check_dos_identity,
+            {"side": 256, "n_samples": 40, "grid": EnergyGrid(-4.0, 4.0, 0.1), "seed": 1},
+            {"d": 1, "lam": 1.0, "eta": 0.1, "side": 256, "n_samples": 40,
+             "grid": [-4.0, 4.0, 0.1], "estimator": "trace"}, 1,
+            {"sup_dist": 0.005, "max_z": 4.0, "z_p95": 2.5}),
+    "bethe": (check_bethe_dos,
+              {"depth": 9, "n_samples": 30, "seed": 2, "grid": EnergyGrid(-2.5, 2.5, 0.1)},
+              {"K": 2, "lam": 1.0, "eta": 0.1, "depth": 9, "n_samples": 30,
+               "grid": [-2.5, 2.5, 0.1]}, 2,
+              {"sup_corrected": 0.01}),
+    "continuum-ids": (check_continuum_ids,
+                      {"box": 40, "h": 0.1, "n_samples": 12, "seed": 3,
+                       "e_grid": EnergyGrid(0.0, 4.0, 0.25)},
+                      {"lam": 0.2, "box": 40, "h": 0.1, "n_samples": 12,
+                       "e_grid": [0.0, 4.0, 0.25]}, 3,
+                      {"sup_dist": 0.02, "free_sup_dist": 0.01}),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_report_records_the_call_and_the_frozen_thresholds(name):
+    check, kwargs, parameters, seed, thresholds = RECORDED[name]
+    report = check(**kwargs)
+    assert report.name == name
+    assert report.parameters == parameters
+    assert "seed" not in report.parameters
+    assert report.seed == seed
+    assert report.thresholds == thresholds
+    assert all(type(v) is float for v in {**report.metrics, **report.thresholds}.values())
+
+
+def test_run_check_runs_the_bound_check_and_seeds_only_the_sampled_ones(monkeypatch):
+    functions = {"semigroup": "check_semigroup", "strip": "check_analytic_strip",
+                 "charfn": "check_charfn_identity", "dos": "check_dos_identity",
+                 "bethe": "check_bethe_dos", "continuum-ids": "check_continuum_ids"}
+    assert CHECK_NAMES == tuple(functions)
+    calls = []
+
+    def stub(name):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return CheckReport(name, {}, {"m": 0.5}, {"m": 1.0}, kwargs.get("seed"))
+        return record
+
+    for name, function in functions.items():
+        monkeypatch.setattr(checks, function, stub(name))
+    for name in CHECK_NAMES:
+        report = run_check(name, seed=7, threshold_override=0.25)
+        assert report.name == name
+        assert report.thresholds == {"m": 0.25}
+    seeded = {"charfn", "dos", "bethe", "continuum-ids"}
+    assert calls == [(name, (), {"seed": 7} if name in seeded else {}) for name in CHECK_NAMES]
 
 
 def test_table_row_mentions_status():

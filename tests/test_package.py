@@ -1,9 +1,12 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import cauchydos
+from conftest import child_env
 
 
 def test_every_all_name_resolves():
@@ -35,3 +38,13 @@ def test_sampled_and_exact_routes_import_nothing_from_each_other():
     for sampled in ("ensemble", "spectra"):
         assert "free_models" not in _imported_names(sampled), sampled
     assert not {"ensemble", "spectra"} & _imported_names("free_models")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported inside the functions that need it, so a run that needs
+    # none of them does not pay its import time
+    code = ("import sys, cauchydos.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -548,6 +548,18 @@ def test_ids_mc_refuses_a_tree_above_the_dense_cap_before_sampling(monkeypatch):
         ids_mc(TreeSpec(2, 11), K1, [0.0], 1, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("spec", [LatticeBoxSpec(1, 8), BumpFamily(5, 0.2), TreeSpec(2, 2)])
+def test_ids_mc_refuses_a_non_finite_energy_before_sampling(monkeypatch, spec, bad):
+    # the Sturm count and searchsorted would each give a NaN energy its own count
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the energies were checked")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
+    with pytest.raises(ValueError, match="finite"):
+        ids_mc(spec, K1, [bad, 0.5], 1, 0)
+
+
 def test_dos_mc_energy_blocks_do_not_move_the_curves(monkeypatch):
     # a cap of 2000 broadening entries splits 161 energies into blocks of
     # 6 (ring), 13 (d=2 box) and 8 (mesh) energies, the last one short
