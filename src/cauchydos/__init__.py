@@ -27,7 +27,6 @@ from .free_models import (
     LatticeFreeModel,
     exact_smoothed,
     free_stieltjes,
-    lattice_dos_smoothed,
 )
 from .measures import (
     CauchyKernel,
@@ -36,7 +35,6 @@ from .measures import (
     cauchy_sample,
 )
 from .spectra import (
-    EigenDecomposition,
     McEstimate,
     charfn_mc,
     chebyshev_evolve,

@@ -44,7 +44,6 @@ __all__ = [
     "exact_smoothed",
     "free_stieltjes",
     "lattice_box_charfn",
-    "lattice_dos_smoothed",
     "truncated_tree_stieltjes",
 ]
 
@@ -195,11 +194,6 @@ def _lattice_laplace(d: int, zeta) -> np.ndarray:
         phase = np.exp(-np.multiply.outer(tau, z))
         laplace[start:start + cols] = np.sum(inner * phase, axis=0)
     return laplace.reshape(zeta.shape)
-
-
-def lattice_dos_smoothed(model: LatticeFreeModel, kernel: CauchyKernel, energy):
-    """Cauchy-smoothed lattice density of states; see ``exact_smoothed``."""
-    return exact_smoothed(model, kernel, energy)
 
 
 # ---------------------------------------------------------------------------

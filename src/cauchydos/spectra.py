@@ -34,7 +34,6 @@ from .measures import MAX_GRID_POINTS, CauchyKernel, EnergyGrid, cauchy_density
 
 __all__ = [
     "DENSE_CAP",
-    "EigenDecomposition",
     "McEstimate",
     "charfn_mc",
     "chebyshev_evolve",
@@ -58,32 +57,6 @@ def worker_count() -> int:
         raise ValueError(f"CAUCHYDOS_THREADS must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvectors as matrix columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _guarded_solve(op: SymmetricOperator, solve):
-    """Run ``solve()``, a LAPACK symmetric solve of ``op``, capped at DENSE_CAP.
-
-    A convergence failure names the matrix by a SHA-256 digest of its
-    triples, which is the same in every process.
-    """
-    if op.n > DENSE_CAP:
-        raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {DENSE_CAP}")
-    try:
-        return solve()
-    except np.linalg.LinAlgError as exc:
-        digest = hashlib.sha256()
-        for part in (op.rows, op.cols, op.vals):
-            digest.update(part.tobytes())
-        raise SolverError(f"eigensolver failed to converge "
-                          f"(matrix sha256 {digest.hexdigest()[:16]})") from exc
-
-
 def _band_form(op: SymmetricOperator) -> np.ndarray | None:
     """Lower band form of ``op`` with its sites interleaved 0, n-1, 1, n-2, ...
 
@@ -104,23 +77,39 @@ def _band_form(op: SymmetricOperator) -> np.ndarray | None:
     return band
 
 
-def eig_sym(op: SymmetricOperator) -> EigenDecomposition:
-    """Dense symmetric eigendecomposition (LAPACK), capped at DENSE_CAP."""
-    return EigenDecomposition(*_guarded_solve(op, lambda: np.linalg.eigh(op.to_dense())))
+def _eigensolve(op: SymmetricOperator, vectors: bool):
+    """The LAPACK solve of ``eig_sym`` (``vectors``) or ``eigvals_sym``, capped at DENSE_CAP.
 
-
-def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
-    """Ascending eigenvalues only: a band solve where ``_band_form`` finds one, else dense."""
-
-    def solve():
+    A convergence failure names the matrix by a SHA-256 digest of its
+    triples, which is the same in every process.
+    """
+    if op.n > DENSE_CAP:
+        raise CapExceededError(f"dense eigensolve of n={op.n} exceeds cap {DENSE_CAP}")
+    try:
+        if vectors:
+            return np.linalg.eigh(op.to_dense())
         band = _band_form(op)
         if band is None:
             return np.linalg.eigvalsh(op.to_dense())
         from scipy.linalg import eigvals_banded
 
         return eigvals_banded(band, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        digest = hashlib.sha256()
+        for part in (op.rows, op.cols, op.vals):
+            digest.update(part.tobytes())
+        raise SolverError(f"eigensolver failed to converge "
+                          f"(matrix sha256 {digest.hexdigest()[:16]})") from exc
 
-    return _guarded_solve(op, solve)
+
+def eig_sym(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ascending eigenvalues and orthonormal eigenvectors (matrix columns)."""
+    return _eigensolve(op, vectors=True)
+
+
+def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
+    """Ascending eigenvalues only: a band solve where ``_band_form`` finds one, else dense."""
+    return _eigensolve(op, vectors=False)
 
 
 # sites per block of the Sturm sweep, whose pivots are counted a block at a time
@@ -144,9 +133,10 @@ def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
     det(H - E) picks which. That sign is the sign of the permutation times
     those of diag(U) from one banded LU with partial pivoting per energy
     (``dgbtrf``, backward stable) on the interleaved band of ``_band_form``
-    (w = 2); at an energy that is an eigenvalue of the ring, rounding decides
-    it, as rounding decides a band solver's count there. Work O(n m), memory
-    O(m) for m energies. The counts take the shape of ``e``.
+    (w = 2). An entry of diag(U) at or below n eps (max|band| + |E|), the
+    LU's backward error, counts as zero and so as negative: at an energy that
+    is an eigenvalue of the ring, det(H - E) = 0 and the tie is counted.
+    Work O(n m), memory O(m) for m energies. The counts take the shape of ``e``.
     """
     shape, e = e.shape, e.ravel()
     n = op.n
@@ -178,13 +168,16 @@ def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
         for r in range(w + 1):
             general[2 * w - r, r:] = general[2 * w + r, :n - r] = band[r, :n - r]
         unswapped = np.arange(n)
+        tol, scale = n * np.finfo(float).eps, float(np.max(np.abs(band)))
         odd = np.empty(e.size, dtype=bool)
         for j, energy in enumerate(e):
             shifted = general.copy()
             shifted[2 * w] -= energy
             lu, piv, _ = dgbtrf(shifted, w, w, overwrite_ab=True)
-            # a zero on diag(U) counts as negative, as a zero pivot does above
-            flips = np.count_nonzero(piv != unswapped) + np.count_nonzero(lu[2 * w] <= 0)
+            # an entry within the LU's backward error of zero counts as zero, so as
+            # negative, as a zero pivot does above
+            zero = tol * (scale + abs(energy))
+            flips = np.count_nonzero(piv != unswapped) + np.count_nonzero(lu[2 * w] <= zero)
             odd[j] = flips % 2 == 1
         count += (count % 2 == 1) != odd
     return count.reshape(shape)
@@ -252,6 +245,18 @@ def chebyshev_evolve(op: SymmetricOperator, v: np.ndarray, t: float,
 # an estimate, not a bound: on criterion 3's rings 1e-12 left errors up to 6e-11,
 # while 1e-13 reaches the 3e-13 floor of dense propagation
 KRYLOV_TOL = 1e-13
+# Krylov vectors in the first block of the basis, which then doubles as needed
+_KRYLOV_BLOCK = 64
+
+
+def _krylov_rows(rows: int, n: int) -> int:
+    """min(rows, n), a Krylov basis size for length-n vectors; CapExceededError
+    when that basis would hold more than MAX_GRID_POINTS entries."""
+    rows = min(rows, n)
+    if rows * n > MAX_GRID_POINTS:
+        raise CapExceededError(f"Krylov basis of {rows} vectors of length {n} "
+                               f"exceeds {MAX_GRID_POINTS} entries")
+    return rows
 
 
 def krylov_charfn(op: SymmetricOperator, phi_site: int, psi_site: int,
@@ -272,16 +277,17 @@ def krylov_charfn(op: SymmetricOperator, phi_site: int, psi_site: int,
 
     An isolated large diagonal entry becomes one Ritz value, so m does not
     grow with max|omega| the way a Chebyshev degree does. Memory is the
-    n x m basis. A t=0 entry is <phi, psi> exactly. Returns the amplitudes
-    and m. Every reduction is an einsum rather than a BLAS call, so the bytes
-    do not depend on BLAS threading.
+    n x m basis, refused by ``_krylov_rows`` past MAX_GRID_POINTS entries. A
+    t=0 entry is <phi, psi> exactly. Returns the amplitudes and m. Every
+    reduction is an einsum rather than a BLAS call, so the bytes do not depend
+    on BLAS threading.
     """
     from scipy.linalg import eigh_tridiagonal
 
     times = np.asarray(times, dtype=float)
     n = op.n
     csr = op.to_csr()
-    basis = np.zeros((min(n, 64), n))
+    basis = np.zeros((_krylov_rows(_KRYLOV_BLOCK, n), n))
     basis[0, psi_site] = 1.0
     alpha, beta = [], []
     while True:
@@ -302,7 +308,7 @@ def krylov_charfn(op: SymmetricOperator, phi_site: int, psi_site: int,
         if b == 0.0 or m == n or residual <= KRYLOV_TOL:
             break
         if m == basis.shape[0]:
-            basis = np.concatenate([basis, np.zeros((min(n, 2 * m) - m, n))])
+            basis = np.concatenate([basis, np.zeros((_krylov_rows(2 * m, n) - m, n))])
         basis[m] = w / b
         beta.append(b)
     weights = np.einsum("k,kj->j", basis[:m, phi_site], s) * s[0]
@@ -472,8 +478,8 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
             if estimator == "trace":
                 values, weights = eigvals_sym(op), None
             else:
-                eig = eig_sym(op)
-                values, weights = eig.values, eig.vectors[0] * eig.vectors[0]
+                values, vectors = eig_sym(op)
+                weights = vectors[0] * vectors[0]
 
             def curve(e):
                 poisson = cauchy_density(smear, e[:, None] - values)
@@ -487,17 +493,16 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
            master_seed: int) -> McEstimate:
     """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
 
-    Counts are divided by the box volume: the bump count for continuum meshes,
-    the site count otherwise. Chains, rings and meshes (d=1 boxes and bump
-    families) are counted by ``_sturm_counts`` and have no size cap; trees and
-    d>=2 boxes count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP.
+    Counts are divided by the box volume, ``site_count`` (the bump count of a
+    continuum mesh). Chains, rings and meshes (d=1 boxes and bump families)
+    are counted by ``_sturm_counts`` and have no size cap; trees and d>=2
+    boxes count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP.
     A NaN or infinite energy raises ValueError before any sample is drawn.
     """
     e_points = np.asarray(e_points, dtype=float)
     if not np.all(np.isfinite(e_points)):
         raise ValueError("ids_mc requires finite energies")
     n_sites = site_count(model_spec)
-    volume = float(model_spec.length if isinstance(model_spec, BumpFamily) else n_sites)
     if isinstance(model_spec, BumpFamily) or (isinstance(model_spec, LatticeBoxSpec)
                                               and model_spec.d == 1):
         count = _sturm_counts
@@ -510,7 +515,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
 
     def per_sample(i):
         op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
-        return count(op, e_points) / volume
+        return count(op, e_points) / n_sites
 
     return _run_samples(per_sample, n_samples, worker_count(), e_points)
 
@@ -522,14 +527,16 @@ def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_sam
     Each sample takes one Lanczos run from psi for the whole grid
     (:func:`krylov_charfn`): it stops once beta_m * max_t |e_m^T exp(itT_m) e_1|
     <= KRYLOV_TOL, holds an n x m basis (m is a few dozen on the d=1 rings of
-    the checks), and its cost does not depend on max|omega|. The t=0 entry is
-    <phi, psi> exactly, with zero variance.
+    the checks), and its cost does not depend on max|omega|. A spec whose
+    first basis block exceeds MAX_GRID_POINTS entries is refused before any
+    sample is drawn. The t=0 entry is <phi, psi> exactly, with zero variance.
     """
     times = t_grid.points
     n_sites = site_count(model_spec)
     dim = _operator_dim(model_spec)
     if not (0 <= phi_site < dim and 0 <= psi_site < dim):
         raise IndexError(f"phi/psi sites out of range for n={dim}")
+    _krylov_rows(_KRYLOV_BLOCK, dim)
 
     def per_sample(i):
         op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))

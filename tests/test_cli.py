@@ -9,10 +9,10 @@ from conftest import child_env
 from scipy.special import jv
 
 from cauchydos.cli import main
-from cauchydos.ensemble import TreeSpec
+from cauchydos.ensemble import LatticeBoxSpec, TreeSpec
 from cauchydos.errors import CapExceededError
 from cauchydos.measures import CauchyKernel, EnergyGrid
-from cauchydos.spectra import dos_mc
+from cauchydos.spectra import charfn_mc, dos_mc
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -205,6 +205,20 @@ def test_sample_tree_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monk
                "--lambda", "1", "--broaden", "0.1", "--grid=-3:3:0.1", "--out", str(tmp_path)])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_charfn_past_the_krylov_bound_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    # the first Krylov block of a 200,000-site ring, 64 vectors, would hold 12.8e6 entries
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the Krylov bound was checked")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
+    with pytest.raises(CapExceededError, match="Krylov basis"):
+        charfn_mc(LatticeBoxSpec(1, 200_000), CauchyKernel(1.0), EnergyGrid(0.0, 1.0, 0.5), 1, 0)
+    rc = main(["charfn", "--size", "200000", "--samples", "1", "--lambda", "1",
+               "--t-grid", "0:1:0.5", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "Krylov basis" in capsys.readouterr().err
 
 
 def test_sample_continuum_runs_and_rejects_compare_exact(tmp_path):

@@ -13,7 +13,6 @@ from cauchydos.free_models import (
     exact_smoothed,
     free_stieltjes,
     lattice_box_charfn,
-    lattice_dos_smoothed,
     truncated_tree_stieltjes,
     _BLOCK,
     _GROUP,
@@ -125,27 +124,27 @@ def test_lattice_offdiag_matches_ring_eigendecomposition():
     from cauchydos.spectra import eig_sym
 
     L = 64
-    eig = eig_sym(build_lattice(LatticeBoxSpec(1, L), None))
+    values, vectors = eig_sym(build_lattice(LatticeBoxSpec(1, L), None))
     for x, t in ((0, 1.5), (1, 1.5), (3, 2.5)):
-        amp = np.sum(np.exp(1j * t * eig.values) * eig.vectors[0, :] * eig.vectors[x, :])
+        amp = np.sum(np.exp(1j * t * values) * vectors[0, :] * vectors[x, :])
         assert free_amplitude(1, [x], t, side=L) == pytest.approx(amp, abs=1e-10)
 
 
 def test_lattice_dos_closed_forms():
     m = LatticeFreeModel(1)
-    assert lattice_dos_smoothed(m, CauchyKernel(1.0), 0.0) == pytest.approx(
+    assert exact_smoothed(m, CauchyKernel(1.0), 0.0) == pytest.approx(
         1.0 / (math.pi * math.sqrt(5.0)), abs=1e-10)
-    assert lattice_dos_smoothed(m, CauchyKernel(0.5), 0.0) == pytest.approx(
+    assert exact_smoothed(m, CauchyKernel(0.5), 0.0) == pytest.approx(
         1.0 / (math.pi * math.sqrt(4.25)), abs=1e-10)
 
 
 def test_lattice_dos_regression_constants():
     # frozen from 30-digit quadrature of the defining integral
-    assert lattice_dos_smoothed(LatticeFreeModel(1), CauchyKernel(1.0), 2.0) == pytest.approx(
+    assert exact_smoothed(LatticeFreeModel(1), CauchyKernel(1.0), 2.0) == pytest.approx(
         0.123559836172875, abs=1e-9)
-    assert lattice_dos_smoothed(LatticeFreeModel(2), CauchyKernel(1.0), 0.0) == pytest.approx(
+    assert exact_smoothed(LatticeFreeModel(2), CauchyKernel(1.0), 0.0) == pytest.approx(
         0.139100768708961, abs=1e-9)
-    assert lattice_dos_smoothed(LatticeFreeModel(3), CauchyKernel(1.0), 0.0) == pytest.approx(
+    assert exact_smoothed(LatticeFreeModel(3), CauchyKernel(1.0), 0.0) == pytest.approx(
         0.114414320188398, abs=1e-9)
 
 
@@ -153,8 +152,8 @@ def test_lattice_dos_even():
     m = LatticeFreeModel(2)
     k = CauchyKernel(0.7)
     for e in (0.5, 1.7, 3.2):
-        assert lattice_dos_smoothed(m, k, e) == pytest.approx(
-            lattice_dos_smoothed(m, k, -e), abs=1e-11)
+        assert exact_smoothed(m, k, e) == pytest.approx(
+            exact_smoothed(m, k, -e), abs=1e-11)
 
 
 def test_lattice_dos_outside_strip_raises():
@@ -162,17 +161,17 @@ def test_lattice_dos_outside_strip_raises():
     k = CauchyKernel(1.0)
     for y in (1.0, 1.05, -1.2):
         with pytest.raises(OutsideStripError):
-            lattice_dos_smoothed(m, k, 0.5 + 1j * y)
+            exact_smoothed(m, k, 0.5 + 1j * y)
 
 
 def test_lattice_dos_complex_real_axis_consistency():
     m = LatticeFreeModel(1)
     k = CauchyKernel(1.0)
-    real = lattice_dos_smoothed(m, k, 1.3)
-    cplx = lattice_dos_smoothed(m, k, 1.3 + 0.4j)
-    assert abs(lattice_dos_smoothed(m, k, complex(1.3, 0.0)) - real) < 1e-11
+    real = exact_smoothed(m, k, 1.3)
+    cplx = exact_smoothed(m, k, 1.3 + 0.4j)
+    assert abs(exact_smoothed(m, k, complex(1.3, 0.0)) - real) < 1e-11
     # Schwarz reflection: real on the real axis forces p(conj z) = conj p(z)
-    assert lattice_dos_smoothed(m, k, 1.3 - 0.4j) == pytest.approx(np.conj(cplx), abs=1e-10)
+    assert exact_smoothed(m, k, 1.3 - 0.4j) == pytest.approx(np.conj(cplx), abs=1e-10)
 
 
 def test_lattice_dos_curve_matches_scalar():
@@ -180,7 +179,7 @@ def test_lattice_dos_curve_matches_scalar():
     k = CauchyKernel(1.0)
     grid = EnergyGrid(-6.0, 6.0, 0.75)
     curve = exact_smoothed(m, k, grid.points)
-    scal = np.array([lattice_dos_smoothed(m, k, e) for e in grid.points])
+    scal = np.array([exact_smoothed(m, k, e) for e in grid.points])
     assert np.max(np.abs(curve - scal)) < 1e-10
 
 
@@ -256,14 +255,14 @@ def test_truncated_tree_transforms_match_dense_eigensolve():
 
     K, depth = 2, 5
     spec = TreeSpec(K, depth)
-    eig = eig_sym(build_tree(spec, None))
+    values, vectors = eig_sym(build_tree(spec, None))
     z = np.array([0.3 + 0.5j, -1.2 + 0.25j, 2.0 + 1.0j])
-    weights = eig.vectors[0] ** 2
-    root_direct = np.array([np.sum(weights / (eig.values - zz)) for zz in z])
+    weights = vectors[0] ** 2
+    root_direct = np.array([np.sum(weights / (values - zz)) for zz in z])
     root, mean = truncated_tree_stieltjes(K, depth, z)
     assert np.max(np.abs(root - root_direct)) < 1e-12
     mean_direct = np.array(
-        [np.mean(1.0 / (eig.values - zz)) for zz in z])
+        [np.mean(1.0 / (values - zz)) for zz in z])
     # mean over the diagonal equals the eigenvalue average by the trace
     assert np.max(np.abs(mean - mean_direct)) < 1e-12
 
@@ -458,7 +457,7 @@ def test_lattice_dos_matches_time_domain_quadrature(d, lam):
     grid = EnergyGrid(-5.0, 5.0, 0.5)
     oracle = np.array([lattice_quad(d, lam, e) for e in grid.points])
     assert np.max(np.abs(exact_smoothed(m, k, grid.points) - oracle)) <= ORACLE_TOL
-    scalar = np.array([lattice_dos_smoothed(m, k, e) for e in grid.points])
+    scalar = np.array([exact_smoothed(m, k, e) for e in grid.points])
     assert np.max(np.abs(scalar - oracle)) <= ORACLE_TOL
 
 

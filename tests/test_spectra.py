@@ -20,7 +20,7 @@ from cauchydos.ensemble import (
     site_count,
 )
 from cauchydos.errors import CapExceededError, EnclosureError
-from cauchydos.free_models import lattice_dos_smoothed, LatticeFreeModel
+from cauchydos.free_models import exact_smoothed, LatticeFreeModel
 from cauchydos.measures import CauchyKernel, EnergyGrid, cauchy_density, write_csv
 from cauchydos.spectra import (
     DENSE_CAP,
@@ -45,8 +45,8 @@ SWAP = SymmetricOperator(2, [0], [1], [1.0])
 
 
 def test_eig_swap_matrix():
-    eig = eig_sym(SWAP)
-    assert np.allclose(eig.values, [-1.0, 1.0], atol=1e-14)
+    values, _ = eig_sym(SWAP)
+    assert np.allclose(values, [-1.0, 1.0], atol=1e-14)
 
 
 def _path(omegas):
@@ -59,13 +59,13 @@ def _path(omegas):
 def test_eig_path_graph_closed_form():
     op = _path(np.zeros(5))
     expected = sorted(2.0 * math.cos(k * math.pi / 6.0) for k in range(1, 6))
-    assert np.allclose(eig_sym(op).values, expected, atol=1e-12)
+    assert np.allclose(eig_sym(op)[0], expected, atol=1e-12)
 
 
 def test_eig_diagonal_matrix_is_sorted_couplings():
     omegas = draw_sample(K1, 12, 4, 0).omegas
     op = SymmetricOperator(12, np.arange(12), np.arange(12), omegas)
-    assert np.allclose(eig_sym(op).values, np.sort(omegas), atol=0)
+    assert np.allclose(eig_sym(op)[0], np.sort(omegas), atol=0)
 
 
 def test_eig_invariants_random_instances():
@@ -73,11 +73,11 @@ def test_eig_invariants_random_instances():
         n = 40 + 17 * seed
         op = random_sparse_symmetric(n, seed)
         dense = op.to_dense()
-        eig = eig_sym(op)
+        values, vectors = eig_sym(op)
         scale = max(np.max(np.abs(dense)), 1e-30)
-        residual = np.max(np.abs(dense @ eig.vectors - eig.vectors * eig.values))
+        residual = np.max(np.abs(dense @ vectors - vectors * values))
         assert residual <= 1e-10 * n * scale
-        gram = eig.vectors.T @ eig.vectors
+        gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(n))) < 1e-10
 
 
@@ -85,13 +85,13 @@ def test_eig_periodic_box_spectrum_enumeration():
     # d=1 and d=2 free periodic boxes against the plane-wave closed form
     op1 = build_lattice(LatticeBoxSpec(1, 16), None)
     expect1 = np.sort([2.0 * math.cos(2.0 * math.pi * k / 16) for k in range(16)])
-    assert np.max(np.abs(eig_sym(op1).values - expect1)) < 1e-9
+    assert np.max(np.abs(eig_sym(op1)[0] - expect1)) < 1e-9
     op2 = build_lattice(LatticeBoxSpec(2, 6), None)
     expect2 = np.sort([
         2.0 * math.cos(2.0 * math.pi * k / 6) + 2.0 * math.cos(2.0 * math.pi * j / 6)
         for k in range(6) for j in range(6)
     ])
-    assert np.max(np.abs(eig_sym(op2).values - expect2)) < 1e-9
+    assert np.max(np.abs(eig_sym(op2)[0] - expect2)) < 1e-9
 
 
 def test_eig_cap():
@@ -146,20 +146,20 @@ def test_eigvals_sym_general_sparse_stays_dense():
 def test_local_measure_diagonal_sums_to_one():
     # the weights v_k(phi) v_k(psi) of the local measure at the eigenvalues
     op = random_sparse_symmetric(60, 2)
-    eig = eig_sym(op)
-    weights = eig.vectors[7] * eig.vectors[7]
+    _, vectors = eig_sym(op)
+    weights = vectors[7] * vectors[7]
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(weights >= -1e-12)
     # any unit pair: total weight bounded by 1 (orthonormal columns)
     for psi in (7, 8, 31):
-        assert abs(np.sum(eig.vectors[7] * eig.vectors[psi])) <= 1.0 + 1e-10
+        assert abs(np.sum(vectors[7] * vectors[psi])) <= 1.0 + 1e-10
 
 
 def test_local_measure_swap_matrix():
-    eig = eig_sym(SWAP)
-    diag = eig.vectors[0] * eig.vectors[0]
+    _, vectors = eig_sym(SWAP)
+    diag = vectors[0] * vectors[0]
     assert np.allclose(diag, [0.5, 0.5], atol=1e-14)
-    off = eig.vectors[0] * eig.vectors[1]
+    off = vectors[0] * vectors[1]
     assert np.allclose(np.sort(off), [-0.5, 0.5], atol=1e-14)
     assert off[0] == pytest.approx(-0.5, abs=1e-14)  # at eigenvalue -1
 
@@ -198,6 +198,22 @@ def test_sturm_counts_of_free_rings_match_the_closed_form(side):
     assert np.array_equal(counts, np.searchsorted(spectrum, probes, side="right"))
 
 
+def test_sturm_counts_count_every_exact_eigenvalue_of_a_free_ring():
+    # the 24 eigenvalues in {-2, -1, 0, 1, 2} of the free rings of sides 3-12;
+    # at E=-2 on an even side det(H - E) = 0, but the LU's last pivot comes
+    # out at a few 1e-16 above zero
+    ties_seen = 0
+    for side in range(3, 13):
+        spectrum = np.round(_free_ring_spectrum(side), 12)
+        ties = np.intersect1d(spectrum, [-2.0, -1.0, 0.0, 1.0, 2.0])
+        expected = np.searchsorted(spectrum, ties, side="right")
+        spec = LatticeBoxSpec(1, side)
+        assert np.array_equal(_sturm_counts(build_lattice(spec), ties), expected), side
+        assert np.array_equal(ids_mc(spec, None, ties, 1, 0).mean, expected / side), side
+        ties_seen += ties.size
+    assert ties_seen == 24
+
+
 @pytest.mark.parametrize("spec, scale", [
     *[(LatticeBoxSpec(1, side), 1.0) for side in (1, 2, 3, 4, 7, 50)],
     (LatticeBoxSpec(1, 50), 1e8), (BumpFamily(25, 0.1), 1.0), (BumpFamily(25, 0.1), 1e8),
@@ -228,6 +244,21 @@ def test_ids_mc_counts_a_ring_above_the_dense_cap():
     assert np.array_equal(ids_mc(spec, K1, energies, 1, 0).mean, expected)
 
 
+@pytest.mark.parametrize("spec, band", [
+    (LatticeBoxSpec(2, 6), True), (LatticeBoxSpec(3, 4), False), (TreeSpec(2, 4), False),
+], ids=repr)
+def test_ids_mc_counts_eigvals_sym_on_trees_and_boxes_above_d1(spec, band):
+    # the searchsorted route: a d=2 box takes the band solve, a d=3 box and a tree dense
+    energies = np.array([-4.0, -1.5, -1e-3, 0.0, 0.7, 2.5, 9.0])
+    n = site_count(spec)
+    curves = []
+    for i in range(3):
+        op = build_operator(spec, draw_sample(K1, n, 4, i))
+        assert (_band_form(op) is not None) == band
+        curves.append(np.searchsorted(eigvals_sym(op), energies, side="right") / n)
+    assert np.array_equal(ids_mc(spec, K1, energies, 3, 4).mean, np.array(curves).mean(axis=0))
+
+
 def test_chebyshev_identity_at_zero():
     v = np.array([0.3 + 0.1j, -0.2j, 0.5])
     op = random_sparse_symmetric(3, 1)
@@ -243,12 +274,12 @@ def test_chebyshev_swap_closed_form():
 
 def test_chebyshev_matches_eigendecomposition():
     op = random_sparse_symmetric(200, 7, density=0.05)
-    eig = eig_sym(op)
+    values, vectors = eig_sym(op)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     v /= np.linalg.norm(v)
     for t in (0.5, 3.0, 10.0, -4.0):
-        direct = eig.vectors @ (np.exp(1j * t * eig.values) * (eig.vectors.T @ v))
+        direct = vectors @ (np.exp(1j * t * values) * (vectors.T @ v))
         out = chebyshev_evolve(op, v, t)
         assert np.max(np.abs(out - direct)) < 1e-8
 
@@ -284,10 +315,10 @@ def test_charfn_mc_free_matches_ring_eigensum():
     spec = LatticeBoxSpec(1, 64)
     grid = EnergyGrid(0.0, 3.0, 0.5)
     est = charfn_mc(spec, None, grid, 1, 0)
-    eig = eig_sym(build_lattice(spec, None))
-    w = eig.vectors[0, :] ** 2
+    values, vectors = eig_sym(build_lattice(spec, None))
+    w = vectors[0, :] ** 2
     for j, t in enumerate(grid.points):
-        direct = np.sum(w * np.exp(1j * t * eig.values))
+        direct = np.sum(w * np.exp(1j * t * values))
         assert est.mean[j] == pytest.approx(direct, abs=1e-9)
 
 
@@ -316,10 +347,10 @@ def test_charfn_mc_on_tree_matches_eig_route():
     spec = TreeSpec(2, 3)
     grid = EnergyGrid(0.0, 2.0, 0.5)
     est = charfn_mc(spec, None, grid, 1, 0, phi_site=0, psi_site=1)
-    eig = eig_sym(build_tree(spec, None))
-    w = eig.vectors[0, :] * eig.vectors[1, :]
+    values, vectors = eig_sym(build_tree(spec, None))
+    w = vectors[0, :] * vectors[1, :]
     for j, t in enumerate(grid.points):
-        direct = np.sum(w * np.exp(1j * t * eig.values))
+        direct = np.sum(w * np.exp(1j * t * values))
         assert est.mean[j] == pytest.approx(direct, abs=1e-10)
 
 
@@ -343,9 +374,9 @@ def _ring_512_operator(i):
 
 
 def _dense_amplitudes(op, phi, psi, times):
-    eig = eig_sym(op)
-    weights = eig.vectors[phi, :] * eig.vectors[psi, :]
-    return np.exp(1j * np.outer(times, eig.values)) @ weights
+    values, vectors = eig_sym(op)
+    weights = vectors[phi, :] * vectors[psi, :]
+    return np.exp(1j * np.outer(times, values)) @ weights
 
 
 def _chained_chebyshev_states(op, site, times):
@@ -408,6 +439,16 @@ def test_krylov_charfn_invariant_start_vector_stops_after_one_step():
     assert steps == 1 and np.all(amp == 0.0)
 
 
+def test_krylov_charfn_refuses_to_grow_its_basis_past_the_bound(monkeypatch):
+    # the free 512-ring needs more than one block of 64 vectors up to t = 40
+    op = build_lattice(RING_512, None)
+    times = EnergyGrid(0.0, 40.0, 5.0).points
+    assert krylov_charfn(op, 0, 0, times)[1] > 64
+    monkeypatch.setattr("cauchydos.spectra.MAX_GRID_POINTS", 64 * RING_512.n_sites)
+    with pytest.raises(CapExceededError, match="Krylov basis of 128 vectors"):
+        krylov_charfn(op, 0, 0, times)
+
+
 def test_krylov_charfn_t_zero_is_exact_inner_product():
     op = _ring_512_operator(243)
     times = EnergyGrid(-1.0, 1.0, 0.25).points
@@ -418,10 +459,10 @@ def test_krylov_charfn_t_zero_is_exact_inner_product():
     assert off[times == 0.0][0] == 0.0
 
 
-def _site_stieltjes(eig, energies, eta):
+def _site_stieltjes(values, vectors, energies, eta):
     """(1/pi) Im sum_k v_0k^2 / (theta_k - E - i eta), the site-0 resolvent."""
     z = energies[:, None] + 1j * eta
-    return np.sum(eig.vectors[0] ** 2 / (eig.values - z), axis=1).imag / np.pi
+    return np.sum(vectors[0] ** 2 / (values - z), axis=1).imag / np.pi
 
 
 def test_dos_mc_site_route_equals_explicit_smear():
@@ -430,8 +471,8 @@ def test_dos_mc_site_route_equals_explicit_smear():
     eta = 0.4
     est = dos_mc(spec, K1, grid, 1, 5, eta, estimator="site")
     sample = draw_sample(K1, 24, 5, 0)
-    eig = eig_sym(build_lattice(spec, sample))
-    assert np.max(np.abs(est.mean - _site_stieltjes(eig, grid.points, eta))) < 1e-13
+    values, vectors = eig_sym(build_lattice(spec, sample))
+    assert np.max(np.abs(est.mean - _site_stieltjes(values, vectors, grid.points, eta))) < 1e-13
 
 
 def test_dos_mc_trace_and_site_agree_statistically():
@@ -457,7 +498,7 @@ def test_dos_mc_free_matches_exact_curve():
     grid = EnergyGrid(-4.0, 4.0, 0.25)
     est = dos_mc(spec, None, grid, 1, 0, 1.0)
     model = LatticeFreeModel(1)
-    exact = np.array([lattice_dos_smoothed(model, K1, e) for e in grid.points])
+    exact = np.array([exact_smoothed(model, K1, e) for e in grid.points])
     assert np.max(np.abs(est.mean - exact)) < 0.01
 
 
@@ -483,10 +524,10 @@ def test_dos_mc_tree_recursion_equals_dense_route():
     for spec in (TreeSpec(2, 5), TreeSpec(3, 3)):
         trace_curves, site_curves = [], []
         for i in range(3):
-            eig = eig_sym(build_tree(spec, draw_sample(K1, spec.n_vertices, 9, i)))
-            poisson = cauchy_density(smear, grid.points[:, None] - eig.values[None, :])
-            trace_curves.append(poisson.sum(axis=1) / eig.values.size)
-            site_curves.append(_site_stieltjes(eig, grid.points, eta))
+            values, vectors = eig_sym(build_tree(spec, draw_sample(K1, spec.n_vertices, 9, i)))
+            poisson = cauchy_density(smear, grid.points[:, None] - values[None, :])
+            trace_curves.append(poisson.sum(axis=1) / values.size)
+            site_curves.append(_site_stieltjes(values, vectors, grid.points, eta))
         trace = dos_mc(spec, K1, grid, 3, 9, eta, estimator="trace")
         assert np.max(np.abs(trace.mean - np.mean(trace_curves, axis=0))) < 1e-12
         site = dos_mc(spec, K1, grid, 3, 9, eta, estimator="site")
