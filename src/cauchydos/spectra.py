@@ -1,8 +1,8 @@
 """Eigensolution, local spectral measures, time evolution, and disorder averaging.
 
 Two independent experimental routes are provided: an energy-domain one built
-on eigendecomposition (on trees, on a leaf-to-root sweep over the LDL^T
-pivots of H - z; for the IDS of chains, rings and meshes, on a Sturm count of
+on eigendecomposition (for the DOS of trees, chains, rings and meshes, on
+sweeps over the LDL^T pivots of H - z; for their IDS, on a Sturm count of
 the pivots of H - E), and a time-domain one built on a Lanczos (Krylov)
 propagator for exp(itH). A bug in either is caught by disagreement with the
 exact curves of ``free_models``, which nothing here imports. The Chebyshev
@@ -116,11 +116,28 @@ def eigvals_sym(op: SymmetricOperator) -> np.ndarray:
 _STURM_BLOCK = 64
 
 
+def _chain_couplings(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Diagonal a, path bonds b and wrapping bond of a chain, ring or mesh.
+
+    ``op`` has bonds (k, k+1) only, plus the wrapping bond (0, n-1) of a
+    ring. b[k] couples sites k-1 and k (b[0] = 0). The wrapping bond is None
+    without one; at n <= 2 the bond (0, n-1) is a path bond.
+    """
+    on = op.rows == op.cols
+    diag = np.zeros(op.n)
+    diag[op.rows[on]] = op.vals[on]
+    step = op.cols == op.rows + 1
+    bond = np.zeros(op.n)
+    bond[op.cols[step]] = op.vals[step]
+    wrapping = op.cols - op.rows == op.n - 1
+    wrap = float(op.vals[wrapping].sum()) if op.n > 2 and wrapping.any() else None
+    return diag, bond, wrap
+
+
 def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
     """Number of eigenvalues E_k <= E of a chain, ring or mesh at each E in ``e``.
 
-    No eigenvalue is computed. ``op`` has bonds (k, k+1) only, plus the
-    wrapping bond (0, n-1) of a ring.
+    No eigenvalue is computed. ``op`` is read by ``_chain_couplings``.
     Site 0 removed, the open path on sites 1..n-1 (0..n-1 without a wrapping
     bond) has as many eigenvalues below E as H - E has negative pivots
 
@@ -140,14 +157,11 @@ def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
     """
     shape, e = e.shape, e.ravel()
     n = op.n
-    on = op.rows == op.cols
-    diag = np.zeros(n)
-    diag[op.rows[on]] = op.vals[on]
-    step = op.cols == op.rows + 1
-    bond2 = np.zeros(n)  # bond2[k] = b_{k-1}^2, the bond of sites k-1 and k squared
-    bond2[op.cols[step]] = op.vals[step] ** 2
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(op.vals[~on] ** 2, initial=0.0)))
-    ring = n > 2 and bool(np.any(op.cols - op.rows == n - 1))
+    diag, bond, wrap = _chain_couplings(op)
+    bond2 = bond ** 2  # bond2[k] = b_{k-1}^2, the bond of sites k-1 and k squared
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(op.vals[op.rows != op.cols] ** 2,
+                                                           initial=0.0)))
+    ring = wrap is not None
     count = np.zeros(e.size, dtype=np.int64)
     pivot = None
     for start in range(int(ring), n, _STURM_BLOCK):
@@ -308,7 +322,10 @@ def krylov_charfn(op: SymmetricOperator, phi_site: int, psi_site: int,
         if b == 0.0 or m == n or residual <= KRYLOV_TOL:
             break
         if m == basis.shape[0]:
-            basis = np.concatenate([basis, np.zeros((_krylov_rows(2 * m, n) - m, n))])
+            # rows past m are written before they are read
+            grown = np.empty((_krylov_rows(2 * m, n), n))
+            grown[:m] = basis
+            basis = grown
         basis[m] = w / b
         beta.append(b)
     weights = np.einsum("k,kj->j", basis[:m, phi_site], s) * s[0]
@@ -340,18 +357,34 @@ class McEstimate:
         return columns
 
 
-def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray) -> McEstimate:
-    """Evaluate per_sample(i), one curve over ``x``, for i in range(n_samples).
+# entries (samples x energies) per temporary of the chain sweep, 128 KiB of
+# complex numbers: a block of samples spreads the interpreter's per-site cost
+# over its rows while each array stays in cache
+_SWEEP_ENTRIES = 8192
 
-    Every run takes a pool of min(workers, n_samples) threads. The curves are
-    reduced in index order afterwards to a pointwise mean and standard error,
-    so the outcome is bit-identical no matter how many workers ran or how they
-    were scheduled. The variance is var(re) + var(im); for real curves the
-    second term is exactly 0. Failures are re-raised annotated with the
-    offending sample index; samples not yet started are then cancelled.
+
+def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
+                 sweep=None, cap: int = 1) -> McEstimate:
+    """Evaluate one curve over ``x`` per sample i in range(n_samples).
+
+    Without ``sweep``, per_sample(i) is sample i's curve, one task per
+    sample. With it, per_sample(i) is sample i's input and one task sweeps a
+    block of at most ``cap`` consecutive samples, sweep(inputs) returning
+    their curves as rows; the blocks hold ceil(n_samples / ceil(n_samples /
+    cap)) samples (the last one fewer), a partition fixed by the sample count
+    and ``cap`` alone, never by the worker count. The tasks run on a
+    pool of up to ``workers`` threads. The curves are reduced in index order
+    afterwards to a pointwise mean and standard error, so the outcome is
+    bit-identical no matter how many workers ran or how they were scheduled.
+    The variance is var(re) + var(im); for real curves the second term is
+    exactly 0. Failures are re-raised annotated with the offending sample
+    index; tasks not yet started are then cancelled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    size = 1
+    if sweep is not None:
+        size = -(-n_samples // -(-n_samples // cap))
 
     def guarded(i):
         try:
@@ -362,8 +395,13 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray) -> McE
             except TypeError:
                 raise RuntimeError(f"[sample {i}] {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=min(workers, n_samples)) as pool:
-        curves = np.array(list(pool.map(guarded, range(n_samples))))
+    def run_block(start):
+        inputs = [guarded(i) for i in range(start, min(start + size, n_samples))]
+        return inputs if sweep is None else sweep(inputs)
+
+    starts = range(0, n_samples, size)
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        curves = np.concatenate(list(pool.map(run_block, starts)))
     se = None
     if n_samples >= 2:
         var = curves.real.var(axis=0, ddof=1) + curves.imag.var(axis=0, ddof=1)
@@ -390,6 +428,14 @@ def _refuse_dense(model_spec) -> None:
         )
 
 
+def _refuse_long_chain(model_spec) -> None:
+    """Refuse, before any sample is drawn, a chain, ring or mesh sweep whose
+    couplings of one sample exceed MAX_GRID_POINTS entries."""
+    n = _operator_dim(model_spec)
+    if n > MAX_GRID_POINTS:
+        raise CapExceededError(f"chain pivot sweep of n={n} sites exceeds {MAX_GRID_POINTS}")
+
+
 def _refuse_deep_tree(spec: TreeSpec) -> None:
     """Refuse, before any sample is drawn, a tree whose pivot sweep temporary,
     the deepest level times _TREE_CHUNK energies, exceeds MAX_GRID_POINTS entries."""
@@ -400,9 +446,77 @@ def _refuse_deep_tree(spec: TreeSpec) -> None:
 
 
 def _in_blocks(curve, energies: np.ndarray, size: int) -> np.ndarray:
-    """``curve`` evaluated on consecutive blocks of ``size`` energies, joined."""
+    """``curve`` evaluated on consecutive blocks of ``size`` energies, joined on its last axis."""
     return np.concatenate([curve(energies[start:start + size])
-                           for start in range(0, energies.size, size)])
+                           for start in range(0, energies.size, size)], axis=-1)
+
+
+def _is_chain(spec) -> bool:
+    """Whether ``spec``'s operators are chains, rings or meshes: d=1 boxes and bump families."""
+    return isinstance(spec, BumpFamily) or (isinstance(spec, LatticeBoxSpec) and spec.d == 1)
+
+
+def _chain_green_diagonals(couplings: list, z: np.ndarray, mode: str) -> np.ndarray:
+    """Broadened local density of chains, rings or meshes from the LDL^T pivots of H - z.
+
+    One sweep serves a block of operators of one size n, each given by its
+    ``_chain_couplings``, with one row per operator in every array. The path
+    1..n-1 is eliminated first, with the pivots and their z-derivatives
+
+        d_k = a_k - z - b_{k-1}^2 / d_{k-1},   d'_k = -1 + b_{k-1}^2 d'_{k-1} / d_{k-1}^2,
+
+    and the fill toward site 0, c_1 = b_0 and c_{k+1} = w_{k+1} - b_k c_k / d_k
+    (w_{n-1} the wrapping bond, 0 elsewhere), with its derivative. Site 0,
+    last, is left with s = a_0 - z - sum_k c_k^2 / d_k. mode="site" returns
+    (1/pi) Im G_00 = (1/pi) Im 1/s; mode="trace" the site average of
+    (1/pi) Im G_kk, as Tr G = -sum_k d'_k/d_k - s'/s. Im z > 0 keeps every
+    |d_k| >= Im z and |c_k| <= |b_0 b_{k-1}| / Im z, so no pivoting is needed.
+    Each entry is computed alone, so the rows do not depend on the block.
+    """
+    n, trace = couplings[0][0].size, mode == "trace"
+    # (site, operator, 1): a site's row broadcasts against the energies; bond[k] = b_{k-1}
+    diag, bond = (np.stack(part, axis=1)[:, :, None] for part in list(zip(*couplings))[:2])
+    wrap = np.array([[0.0 if w is None else w] for _, _, w in couplings])
+    shape = (len(couplings), z.size)
+    fills = np.zeros(shape, complex)  # sum_k c_k^2 / d_k
+    if trace:
+        logs = np.zeros(shape, complex)  # sum_k d'_k / d_k
+        slopes = np.zeros(shape, complex)  # sum_k (c_k^2 / d_k)'
+    if n > 1:
+        r, v, tmp, c = (np.empty(shape, complex) for _ in range(4))
+        d = np.subtract(diag[1], z)
+        c[...] = bond[1]
+        if trace:
+            u, y = np.empty(shape, complex), np.empty(shape, complex)
+            dp, cp = np.full(shape, -1.0 + 0j), np.zeros(shape, complex)
+    for k in range(1, n):
+        np.divide(1.0, d, out=r)
+        np.multiply(c, r, out=v)  # c/d
+        fills += np.multiply(c, v, out=tmp)
+        if trace:
+            logs += np.multiply(dp, r, out=u)  # d'/d
+            np.multiply(cp, r, out=y)  # c'/d
+            np.subtract(y, np.multiply(v, u, out=tmp), out=cp)  # (c/d)'
+            slopes += np.multiply(c, np.add(cp, y, out=tmp), out=tmp)
+        if k == n - 1:
+            break
+        hop = -bond[k + 1]
+        if trace:
+            cp *= hop
+        np.multiply(v, hop, out=c)
+        if k + 1 == n - 1:
+            c += wrap
+        r *= bond[k + 1] ** 2  # b_k^2 / d_k
+        if trace:
+            np.multiply(r, u, out=dp)
+            dp -= 1.0
+        np.subtract(diag[k + 1], r, out=d)
+        d -= z
+    s = np.subtract(diag[0], z) - fills
+    if not trace:
+        return (1.0 / s).imag / np.pi
+    # s' = -1 - slopes
+    return ((1.0 + slopes) / s - logs).imag / np.pi / n
 
 
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
@@ -420,22 +534,26 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
     total = 0.0
     for size in reversed(tree_level_sizes(spec)):
         d = omegas[end - size:end, None] - z
-        s = np.full_like(d, -1.0) if trace else None
         end -= size
+        s = None  # a leaf's slope d'_v is -1 and is not stored
         if pivots is not None:
             # each vertex's children are one contiguous block of the level below;
             # the level's pivots and slopes are not read again, so overwrite them
             inv = np.divide(1.0, pivots, out=pivots).reshape(size, -1, z.size)
             d -= inv.sum(axis=1)
-            if trace:
+            if trace and slopes is None:
+                total = -inv.sum(axis=(0, 1))
+                s = -np.multiply(inv, inv, out=inv).sum(axis=1) - 1.0
+            elif trace:
                 w = np.multiply(slopes, pivots, out=slopes).reshape(size, -1, z.size)
                 total = total + w.sum(axis=(0, 1))
-                s += np.multiply(w, inv, out=w).sum(axis=1)
+                s = np.multiply(w, inv, out=w).sum(axis=1) - 1.0
         pivots, slopes = d, s
     g_root = 1.0 / pivots[0]
     if not trace:
         return g_root.imag / np.pi
-    return -(total + slopes[0] * g_root).imag / np.pi / omegas.size
+    slope = -1.0 if slopes is None else slopes[0]
+    return -(total + slope * g_root).imag / np.pi / omegas.size
 
 
 def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples: int,
@@ -448,8 +566,12 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     sites (unbiased for translation-invariant boxes, far lower variance);
     "site" uses the single-site measure at the origin/root. Trees take the
     leaf-to-root pivot sweep, bounded by its temporaries, in blocks of
-    _TREE_CHUNK energies; lattices and continuum meshes take LAPACK, bounded by
-    DENSE_CAP, and broaden in blocks of at most MAX_GRID_POINTS entries.
+    _TREE_CHUNK energies. Chains, rings and meshes take the pivot sweep of
+    ``_chain_green_diagonals`` over blocks of samples: a block's couplings
+    hold at most MAX_GRID_POINTS entries, samples x sites (a longer chain is
+    refused), and each sweep temporary at most _SWEEP_ENTRIES, samples x
+    energies. d>=2 boxes take LAPACK, bounded by DENSE_CAP, and broaden in
+    blocks of at most MAX_GRID_POINTS entries.
     """
     if not (broaden > 0):
         raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
@@ -458,6 +580,10 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     energies = grid.points
     n_sites = site_count(model_spec)
     smear = CauchyKernel(broaden)
+    sweep, cap = None, 1
+
+    def operator(i):
+        return build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
 
     if isinstance(model_spec, TreeSpec):
         _refuse_deep_tree(model_spec)
@@ -469,12 +595,25 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
                 return _tree_green_diagonals(model_spec, omegas, e + 1j * broaden, estimator)
             return _in_blocks(curve, energies, _TREE_CHUNK)
 
+    elif _is_chain(model_spec):
+        _refuse_long_chain(model_spec)
+        cap = max(1, min(_SWEEP_ENTRIES // energies.size,
+                         MAX_GRID_POINTS // _operator_dim(model_spec)))
+
+        def per_sample(i):
+            return _chain_couplings(operator(i))
+
+        def sweep(couplings):
+            def curve(e):
+                return _chain_green_diagonals(couplings, e + 1j * broaden, estimator)
+            return _in_blocks(curve, energies, max(1, _SWEEP_ENTRIES // len(couplings)))
+
     else:
         _refuse_dense(model_spec)
         block = max(1, MAX_GRID_POINTS // _operator_dim(model_spec))
 
         def per_sample(i):
-            op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
+            op = operator(i)
             if estimator == "trace":
                 values, weights = eigvals_sym(op), None
             else:
@@ -486,7 +625,7 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
                 return poisson.sum(axis=1) / values.size if weights is None else poisson @ weights
             return _in_blocks(curve, energies, block)
 
-    return _run_samples(per_sample, n_samples, worker_count(), energies)
+    return _run_samples(per_sample, n_samples, worker_count(), energies, sweep, cap)
 
 
 def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samples: int,
@@ -503,8 +642,7 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samp
     if not np.all(np.isfinite(e_points)):
         raise ValueError("ids_mc requires finite energies")
     n_sites = site_count(model_spec)
-    if isinstance(model_spec, BumpFamily) or (isinstance(model_spec, LatticeBoxSpec)
-                                              and model_spec.d == 1):
+    if _is_chain(model_spec):
         count = _sturm_counts
     else:
         _refuse_dense(model_spec)

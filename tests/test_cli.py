@@ -11,7 +11,7 @@ from scipy.special import jv
 from cauchydos.cli import main
 from cauchydos.ensemble import LatticeBoxSpec, TreeSpec
 from cauchydos.errors import CapExceededError
-from cauchydos.measures import CauchyKernel, EnergyGrid
+from cauchydos.measures import MAX_GRID_POINTS, CauchyKernel, EnergyGrid
 from cauchydos.spectra import charfn_mc, dos_mc
 
 
@@ -193,6 +193,22 @@ def test_sample_cap_exceeded_exits_3(tmp_path):
     assert "charfn" in proc.stderr
 
 
+def test_sample_ring_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    # the couplings of one ring above MAX_GRID_POINTS sites would hold more entries than that
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the cap check")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
+    with pytest.raises(CapExceededError, match="chain pivot sweep"):
+        dos_mc(LatticeBoxSpec(1, MAX_GRID_POINTS + 1), CauchyKernel(1.0),
+               EnergyGrid(-1.0, 1.0, 0.5), 1, 0, 0.1)
+    rc = main(["sample", "--model", "lattice", "--dim", "1", "--size", "50000000",
+               "--samples", "2", "--lambda", "1", "--broaden", "0.1", "--grid=-1:1:0.5",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "chain pivot sweep" in capsys.readouterr().err
+
+
 def test_sample_tree_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
     # at depth 40 one sweep temporary would hold 3 * 2^39 * 48 complex entries
     def no_sampling(*args, **kwargs):
@@ -313,12 +329,17 @@ def test_charfn_bytes_do_not_depend_on_blas_or_sample_threads(tmp_path):
 
 
 def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the band solves of chains (d=1) and d=2 boxes, the continuum mesh and the tree sweep
+    # the chain sweep of d=1 boxes and continuum meshes (trace and site), the
+    # band solve of d=2 boxes and the tree sweep
     common = ["--samples", "4", "--lambda", "1", "--broaden", "0.1", "--grid=-6:6:0.05"]
+    d1 = ["--model", "lattice", "--dim", "1", "--size", "2000"]
+    continuum = ["--model", "continuum", "--size", "200", "--h", "0.25"]
     routes = {
-        "d1": ["--model", "lattice", "--dim", "1", "--size", "2000"],
+        "d1": d1,
+        "d1_site": [*d1, "--estimator", "site"],
         "d2": ["--model", "lattice", "--dim", "2", "--size", "45"],
-        "continuum": ["--model", "continuum", "--size", "200", "--h", "0.25"],
+        "continuum": continuum,
+        "continuum_site": [*continuum, "--estimator", "site"],
         "tree": ["--model", "bethe", "--depth", "8"],
     }
     for name, model in routes.items():

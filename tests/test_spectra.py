@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from cauchydos.spectra import (
     DENSE_CAP,
     McEstimate,
     _band_form,
+    _chain_couplings,
+    _chain_green_diagonals,
     _refuse_deep_tree,
     _sturm_counts,
     _tree_green_diagonals,
@@ -449,6 +452,24 @@ def test_krylov_charfn_refuses_to_grow_its_basis_past_the_bound(monkeypatch):
         krylov_charfn(op, 0, 0, times)
 
 
+def test_krylov_charfn_grows_its_basis_without_a_zero_block():
+    # growing from 64 to 128 rows holds the old and the new basis, 1.5 times
+    # the grown one (1.56 measured); a zero block joined on holds 64 rows more
+    # (2.05 measured)
+    times = EnergyGrid(0.0, 40.0, 0.5).points
+    krylov_charfn(build_lattice(LatticeBoxSpec(1, 16)), 0, 0, times)  # imports and caches
+    spec = LatticeBoxSpec(1, 20_000)
+    op = build_lattice(spec)
+    tracemalloc.start()
+    try:
+        steps = krylov_charfn(op, 0, 0, times)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 64 < steps <= 128
+    assert peak <= 1.75 * 128 * spec.n_sites * 8
+
+
 def test_krylov_charfn_t_zero_is_exact_inner_product():
     op = _ring_512_operator(243)
     times = EnergyGrid(-1.0, 1.0, 0.25).points
@@ -473,6 +494,107 @@ def test_dos_mc_site_route_equals_explicit_smear():
     sample = draw_sample(K1, 24, 5, 0)
     values, vectors = eig_sym(build_lattice(spec, sample))
     assert np.max(np.abs(est.mean - _site_stieltjes(values, vectors, grid.points, eta))) < 1e-13
+
+
+def _eigen_curves(op, energies, eta, estimator):
+    """The broadened eigenvalues of ``op`` (trace) or its site-0 resolvent (site)."""
+    if estimator == "trace":
+        values = eigvals_sym(op)
+        return cauchy_density(CauchyKernel(eta), energies[:, None] - values).sum(axis=1) / op.n
+    return _site_stieltjes(*eig_sym(op), energies, eta)
+
+
+CHAIN_SPECS = ([LatticeBoxSpec(1, side) for side in (*range(1, 13), 50, 300)]
+               + [BumpFamily(1, 0.25), BumpFamily(5, 0.25), BumpFamily(30, 0.1)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=repr)
+def test_chain_sweep_matches_the_eigen_routes(spec, scale):
+    # LAPACK's eigenvalues carry an absolute error near eps max|omega|, which
+    # at scale 1e8 moves the far tails that make up these curves by up to
+    # ~1e-10 of their size; the sweep's pivots keep their relative accuracy
+    energies = np.linspace(-4.0, 4.0, 33)
+    eta = 0.3
+    ops = [build_operator(spec, draw_sample(CauchyKernel(scale), site_count(spec), 4, i))
+           for i in range(3)]
+    couplings = [_chain_couplings(op) for op in ops]
+    tol = 1e-12 if scale == 1.0 else 1e-9
+    for estimator in ("trace", "site"):
+        curves = _chain_green_diagonals(couplings, energies + 1j * eta, estimator)
+        ref = np.array([_eigen_curves(op, energies, eta, estimator) for op in ops])
+        assert curves.shape == ref.shape
+        assert np.max(np.abs(curves - ref)) <= tol * np.max(np.abs(ref)), estimator
+
+
+def test_chain_sweep_blocks_equal_single_sample_sweeps():
+    # every entry is computed alone, so neither the sample block nor the
+    # energy block moves a bit of a curve
+    grid = EnergyGrid(-4.0, 4.0, 0.05)
+    z = grid.points + 0.2j
+    for spec in (LatticeBoxSpec(1, 37), BumpFamily(9, 0.25)):
+        couplings = [_chain_couplings(build_operator(spec, draw_sample(K1, site_count(spec), 5, i)))
+                     for i in range(7)]
+        for estimator in ("trace", "site"):
+            block = _chain_green_diagonals(couplings, z, estimator)
+            alone = [_chain_green_diagonals([c], z[j:j + 50], estimator)[0]
+                     for c in couplings for j in range(0, z.size, 50)]
+            assert np.array_equal(block.ravel(), np.concatenate(alone))
+            est = dos_mc(spec, K1, grid, 7, 5, 0.2, estimator=estimator)
+            assert np.array_equal(est.mean, block.mean(axis=0))
+
+
+def test_dos_mc_chain_blocks_follow_the_coupling_bound(monkeypatch):
+    # 25 samples of a 5000-site ring at 3 energies: at most 50,000 // 5000
+    # = 10 samples of couplings per block, so blocks of 9, 9 and 7; a block
+    # holds about 32 bytes per site and sample (1.4 MiB peak measured), where
+    # one block of all 25 samples' operators peaked at 9.6 MiB
+    sizes = []
+
+    def recorded(couplings, z, mode):
+        sizes.append(len(couplings))
+        return _chain_green_diagonals(couplings, z, mode)
+
+    grid = EnergyGrid(-1.0, 1.0, 1.0)
+    dos_mc(LatticeBoxSpec(1, 16), K1, grid, 2, 0, 0.1)  # imports and caches
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
+    monkeypatch.setattr("cauchydos.spectra.MAX_GRID_POINTS", 50_000)
+    monkeypatch.setattr("cauchydos.spectra._chain_green_diagonals", recorded)
+    tracemalloc.start()
+    try:
+        dos_mc(LatticeBoxSpec(1, 5000), K1, grid, 25, 0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [9, 9, 7]
+    assert peak <= 48 * 50_000
+    # a ring whose one sample would hold more is refused before any sample is drawn
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", None)
+    with pytest.raises(CapExceededError, match="chain pivot sweep"):
+        dos_mc(LatticeBoxSpec(1, 50_001), K1, grid, 25, 0, 0.1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failure_inside_a_sweep_block_names_its_sample(monkeypatch, workers):
+    def failing_fifth(kernel, n_sites, master_seed, i):
+        if i == 5:
+            raise ValueError("drawn to fail")
+        return draw_sample(kernel, n_sites, master_seed, i)
+
+    monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_fifth)
+    # 12 samples of 5 energies are one block
+    with pytest.raises(ValueError, match=r"\[sample 5\] drawn to fail"):
+        dos_mc(LatticeBoxSpec(1, 16), K1, EnergyGrid(-1.0, 1.0, 0.5), 12, 0, 0.1)
+
+
+def test_dos_mc_sweeps_a_ring_above_the_dense_cap():
+    # the chain sweep has no DENSE_CAP: its work is O(n m) per sample
+    spec = LatticeBoxSpec(1, DENSE_CAP + 1)
+    grid = EnergyGrid(-1.0, 1.0, 1.0)
+    for estimator in ("trace", "site"):
+        est = dos_mc(spec, K1, grid, 2, 0, 0.1, estimator=estimator)
+        assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
 
 
 def test_dos_mc_trace_and_site_agree_statistically():
@@ -602,21 +724,26 @@ def test_ids_mc_refuses_a_non_finite_energy_before_sampling(monkeypatch, spec, b
 
 
 def test_dos_mc_energy_blocks_do_not_move_the_curves(monkeypatch):
-    # a cap of 2000 broadening entries splits 161 energies into blocks of
-    # 6 (ring), 13 (d=2 box) and 8 (mesh) energies, the last one short
+    # a cap of 2000 broadening entries splits 161 energies into blocks of 13
+    # for the d=2 box, the last one short; a cap of 100 sweep entries splits
+    # the 3 samples of the ring and the mesh, one block at the default cap,
+    # into single samples in energy blocks of 100 and 61, on two threads
     grid = EnergyGrid(-4.0, 4.0, 0.05)
     specs = (LatticeBoxSpec(1, 300), LatticeBoxSpec(2, 12), BumpFamily(25, 0.1))
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
     whole = {(spec, est): dos_mc(spec, K1, grid, 3, 5, 0.2, estimator=est)
              for spec in specs for est in ("trace", "site")}
     monkeypatch.setattr("cauchydos.spectra.MAX_GRID_POINTS", 2000)
+    monkeypatch.setattr("cauchydos.spectra._SWEEP_ENTRIES", 100)
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "2")
     for (spec, est), ref in whole.items():
         blocks = dos_mc(spec, K1, grid, 3, 5, 0.2, estimator=est)
-        if est == "trace":
+        if est == "site" and spec == specs[1]:
+            # the d=2 site curve is a BLAS product, whose rounding may follow the block
+            assert np.max(np.abs(blocks.mean - ref.mean)) <= 1e-14 * np.max(np.abs(ref.mean))
+        else:
             assert np.array_equal(blocks.mean, ref.mean)
             assert np.array_equal(blocks.std_error, ref.std_error)
-        else:
-            # the site curve is a BLAS product, whose rounding may follow the block
-            assert np.max(np.abs(blocks.mean - ref.mean)) <= 1e-14 * np.max(np.abs(ref.mean))
 
 
 def test_ids_mc_free_single_sample_matches_direct_count():
@@ -653,9 +780,9 @@ def test_sample_failure_is_annotated():
     grid = EnergyGrid(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match=r"\[sample 0\]"):
         dos_mc(spec, K1, grid, 2, -3, 0.1)
-    # a ring of DENSE_CAP + 1 sites is refused before any sample is drawn
+    # a d=3 box of 17^3 > DENSE_CAP sites is refused before any sample is drawn
     with pytest.raises(CapExceededError):
-        dos_mc(LatticeBoxSpec(1, DENSE_CAP + 1), K1, grid, 2, 0, 0.1)
+        dos_mc(LatticeBoxSpec(3, 17), K1, grid, 2, 0, 0.1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -674,6 +801,28 @@ def test_a_failing_sample_stops_the_pool(monkeypatch, workers):
     monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_first)
     with pytest.raises(ValueError, match=r"\[sample 0\] drawn to fail"):
         dos_mc(LatticeBoxSpec(1, 16), K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 0, 0.1)
+    assert len(calls) <= workers + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, entries", [(LatticeBoxSpec(2, 4), 8192),
+                                           (LatticeBoxSpec(1, 16), 1)], ids=["d2", "d1"])
+def test_a_failing_sample_cancels_the_queued_tasks(monkeypatch, workers, spec, entries):
+    # one task per sample: a d=2 box, and a chain sweep with one sample per block
+    calls = []
+
+    def failing_first(kernel, n_sites, master_seed, i):
+        calls.append(i)
+        if i == 0:
+            raise ValueError("drawn to fail")
+        time.sleep(0.05)
+        return draw_sample(kernel, n_sites, master_seed, i)
+
+    monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+    monkeypatch.setattr("cauchydos.spectra._SWEEP_ENTRIES", entries)
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_first)
+    with pytest.raises(ValueError, match=r"\[sample 0\] drawn to fail"):
+        dos_mc(spec, K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 0, 0.1)
     assert len(calls) <= workers + 1
 
 
