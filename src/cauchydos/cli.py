@@ -159,8 +159,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-# grid values like -6:6:0.01 start with a dash; teach argparse they are values
-_GRID_LIKE = re.compile(r"^-\d+(\.\d+)?(:.*)?$")
+# grid values like -6:6:0.01, -.5:1:0.5 or -1e-1:1:0.5 start with a dash;
+# teach argparse that a dash before a digit or .digit begins a value
+_GRID_LIKE = re.compile(r"^-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:

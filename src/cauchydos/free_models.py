@@ -23,8 +23,9 @@ keeps the time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
 evaluated as a Laplace transform at zeta = -i z on shared Gauss-Legendre
 nodes: blocks of panels factor exp(-zeta t) into a block phase times an
-in-block factor, so the node sum is one matrix product. Bessel values come
-from ``scipy.special``.
+in-block factor, so the node sum is one matrix product, and both factors are
+powers of a few exponentials per energy taken by recurrence. Bessel values
+come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ __all__ = [
 ]
 
 TRUNCATION_EPS = 1e-14
-# kernel-matrix entries per block of energies in the time-domain integral
-_BLOCK = 1 << 20
+# kernel-matrix entries per block of energies in the time-domain integral,
+# about 1 MiB of complex temporaries
+_BLOCK = 1 << 16
 # Gauss-Legendre panels per block of time nodes in the time-domain integral
 _GROUP = 8
 
@@ -159,11 +161,18 @@ def _lattice_laplace(d: int, zeta) -> np.ndarray:
     1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider than the
     fastest oscillation max|Im zeta| allows, so their count grows with T and
     max|Im zeta|; past MAX_GRID_POINTS nodes ValueError is raised before
-    anything is allocated. Panels are grouped in blocks of ``_GROUP``, so
-    every node is t = tau_b + s_k. As exp(-zeta t) = exp(-zeta tau_b)
-    exp(-zeta s_k), the node sum is one matrix product with exp(-s zeta) and a
-    contraction with exp(-tau zeta): a few hundred exponentials per energy.
-    Re zeta > 0 and tau, s >= 0, so no factor exceeds 1.
+    anything is allocated. Panels of width h are grouped in blocks of
+    ``_GROUP``, so every node is t = tau_b + s_k with tau_b = b H, H = _GROUP h.
+    As exp(-zeta t) = exp(-zeta tau_b) exp(-zeta s_k), the node sum is one
+    matrix product with exp(-s zeta) and a contraction with exp(-tau zeta).
+    Neither is taken by exp: the block phases are the powers q^b of q =
+    exp(-zeta H) (``_powers``), and exp(-zeta s) at s = p h + s_k, k < 16, is
+    exp(-zeta h)^p exp(-zeta s_k). That is 18 exponentials per energy, none of
+    a large argument: q^b carries about b roundings, where exp(-zeta tau_b)
+    inherited the rounding of an argument of up to tau_b |E|, thousands of
+    radians. Energies go in blocks of at most ``_BLOCK`` entries of the
+    product, so the temporaries stay in cache. Re zeta > 0 and tau, s >= 0, so
+    no factor exceeds 1.
     """
     from scipy.special import j0
 
@@ -189,11 +198,34 @@ def _lattice_laplace(d: int, zeta) -> np.ndarray:
     cols = max(1, _BLOCK // (n_blocks + s.size))
     for start in range(0, flat.size, cols):
         z = flat[start:start + cols]
+        # exp(-z s) at s = h p + s_k, k < 16, is exp(-z h)^p exp(-z s_k)
+        factor = (_powers(np.exp(-h * z), _GROUP)[:, None]
+                  * np.exp(-np.multiply.outer(s[:nodes.size], z))).reshape(s.size, z.size)
         # real g times complex phases as one real product on (re, im) pairs
-        inner = (g @ np.exp(-np.multiply.outer(s, z)).view(float)).view(complex)
-        phase = np.exp(-np.multiply.outer(tau, z))
-        laplace[start:start + cols] = np.sum(inner * phase, axis=0)
+        inner = (g @ factor.view(float)).view(complex)
+        del factor
+        inner *= _powers(np.exp(-h * _GROUP * z), n_blocks)
+        laplace[start:start + cols] = np.sum(inner, axis=0)
+        del inner
     return laplace.reshape(zeta.shape)
+
+
+def _powers(q: np.ndarray, count: int) -> np.ndarray:
+    """The rows q^0, ..., q^(count-1) of a 1-d array q, by doubling.
+
+    Each pass multiplies the rows found so far by the next q^(2^k), so the
+    cost is O(log count) numpy calls, and row b carries a relative error of
+    about b roundings instead of the error of exp at b times the argument.
+    """
+    out = np.empty((count, q.size), dtype=complex)
+    out[0] = 1.0
+    done, step = 1, q
+    while done < count:
+        more = min(done, count - done)
+        np.multiply(out[:more], step, out=out[done:done + more])
+        done += more
+        step = step * step
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -370,21 +371,24 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
     Without ``sweep``, per_sample(i) is sample i's curve, one task per
     sample. With it, per_sample(i) is sample i's input and one task sweeps a
     block of at most ``cap`` consecutive samples, sweep(inputs) returning
-    their curves as rows; the blocks hold ceil(n_samples / ceil(n_samples /
-    cap)) samples (the last one fewer), a partition fixed by the sample count
-    and ``cap`` alone, never by the worker count. The tasks run on a
-    pool of up to ``workers`` threads. The curves are reduced in index order
-    afterwards to a pointwise mean and standard error, so the outcome is
-    bit-identical no matter how many workers ran or how they were scheduled.
-    The variance is var(re) + var(im); for real curves the second term is
-    exactly 0. Failures are re-raised annotated with the offending sample
-    index; tasks not yet started are then cancelled.
+    their curves as rows; with k = max(ceil(n_samples / cap), min(workers,
+    n_samples)) the blocks hold ceil(n_samples / k) samples (the last one
+    fewer), so two workers get two blocks however few the energies. A sweep
+    computes each row alone, so the partition moves no byte. The tasks run
+    on a pool of up to ``workers`` threads. The curves are reduced in index
+    order afterwards to a pointwise mean and standard error, so the outcome
+    is bit-identical no matter how many workers ran or how they were
+    scheduled. The variance is var(re) + var(im); for real curves the second
+    term is exactly 0. Failures are re-raised annotated with the offending
+    sample index; tasks not yet started are then cancelled, and running
+    blocks draw no further sample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     size = 1
     if sweep is not None:
-        size = -(-n_samples // -(-n_samples // cap))
+        size = -(-n_samples // max(-(-n_samples // cap), min(workers, n_samples)))
+    failed = threading.Event()
 
     def guarded(i):
         try:
@@ -396,8 +400,16 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
                 raise RuntimeError(f"[sample {i}] {exc}") from exc
 
     def run_block(start):
-        inputs = [guarded(i) for i in range(start, min(start + size, n_samples))]
-        return inputs if sweep is None else sweep(inputs)
+        try:
+            inputs = []
+            for i in range(start, min(start + size, n_samples)):
+                if failed.is_set():
+                    return None  # the failed block raises in pool.map; this is never read
+                inputs.append(guarded(i))
+            return inputs if sweep is None else sweep(inputs)
+        except Exception:
+            failed.set()
+            raise
 
     starts = range(0, n_samples, size)
     with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:

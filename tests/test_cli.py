@@ -87,6 +87,25 @@ def test_bad_grid_is_usage_error(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("grid", ["-.5:1:0.5", "-1e-1:1:0.5", "-6:6:0.01"])
+def test_dash_grids_parse_as_values(tmp_path, capsys, grid):
+    # a leading dash before a digit or .digit begins a grid, as after --grid=
+    for option, argv, stem in (
+            ("--grid", ["exact", "--model", "lattice", "--lambda", "1"], "exact_lattice_d1"),
+            ("--t-grid", ["charfn", "--size", "8", "--samples", "2", "--lambda", "1"],
+             "charfn_lattice")):
+        written = []
+        for spelling in ([option, grid], [f"{option}={grid}"]):
+            out = tmp_path / f"{stem}{len(written)}"
+            assert main([*argv, *spelling, "--out", str(out)]) == 0
+            written.append((out / f"{stem}.csv").read_bytes())
+        assert written[0] == written[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "-h"])
+    assert exc.value.code == 0
+    assert "usage: cauchydos exact" in capsys.readouterr().out
+
+
 def assert_usage_error(proc):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -351,6 +370,19 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append([p.read_bytes() for p in sorted(out.glob("*.csv"))])
         assert outputs[0] and outputs[0] == outputs[1], name
+
+
+def test_exact_d3_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the d>=3 curve's node sum is one BLAS product per block of energies
+    outputs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        proc = run_cli(["exact", "--model", "lattice", "--dim", "3", "--lambda", "0.05",
+                        "--grid=-8:8:0.01", "--out", str(out)], tmp_path,
+                       env_extra={"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "exact_lattice_d3.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_ids_bytes_do_not_depend_on_blas_or_sample_threads():

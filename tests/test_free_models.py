@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cauchydos.free_models import (
     _BLOCK,
     _GROUP,
     _lattice_laplace,
+    _powers,
 )
 from cauchydos.measures import CauchyKernel, EnergyGrid, window_tail_mass
 
@@ -483,12 +485,42 @@ def test_factored_integral_matches_cosine_contraction(d, lam):
 
 
 def test_factored_integral_spans_several_energy_blocks():
-    # every energy needs more than 16 * _GROUP matrix entries, so this grid
-    # cannot fit in one _BLOCK and the energy loop runs at least twice
-    e = EnergyGrid(-10.0, 10.0, 0.002).points
-    assert e.size * 16 * _GROUP > _BLOCK
-    dev = np.abs(laplace_smoothed(2, 1.0, e) - cosine_contraction(2, 1.0, e))
-    assert np.max(dev) <= 1e-13
+    # every energy needs more than 16 * _GROUP matrix entries, so these grids
+    # cannot fit in one _BLOCK and the energy loop runs at least twice; at
+    # d=3, lam=0.05 the block phases run to 162 powers of exp(-zeta H)
+    for d, lam, grid in ((2, 1.0, (-10.0, 10.0, 0.002)), (3, 0.05, (-8.0, 8.0, 0.01))):
+        e = EnergyGrid(*grid).points
+        assert e.size * 16 * _GROUP > _BLOCK
+        dev = np.abs(laplace_smoothed(d, lam, e) - cosine_contraction(d, lam, e))
+        assert np.max(dev) <= 1e-13
+
+
+def test_phase_powers_match_exp_at_exact_arguments():
+    # b x is exact for these x, so np.exp(b x) is the power to a rounding or
+    # two; the doubling loses about one rounding per factor of q. 1612 rows
+    # are the block phases of the d=3, lam=0.05 curve at |Im E| = 0.9 lam
+    x = -2.0**-6 + 1j * np.array([0.0, 0.5, -3.0, 17.125, -31.25, 2.0**-20])
+    powers = _powers(np.exp(x), 1612)
+    b = np.arange(1612)[:, None]
+    exact = np.exp(b * x)
+    rel = np.abs(powers - exact) / np.abs(exact)
+    assert np.all(rel <= np.maximum(b, 1) * 4 * np.finfo(float).eps)
+    assert np.array_equal(powers[0], np.ones(x.size))
+
+
+def test_d3_curve_peak_memory_stays_in_cache_sized_blocks():
+    # the energy blocks of _BLOCK entries bound the temporaries (1.6 MiB
+    # measured on this curve)
+    model, kernel = LatticeFreeModel(3), CauchyKernel(0.05)
+    e = EnergyGrid(-8.0, 8.0, 0.01).points
+    exact_smoothed(model, kernel, e[:10])  # imports and caches
+    tracemalloc.start()
+    try:
+        exact_smoothed(model, kernel, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0])

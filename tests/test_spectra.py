@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 
@@ -574,6 +575,51 @@ def test_dos_mc_chain_blocks_follow_the_coupling_bound(monkeypatch):
         dos_mc(LatticeBoxSpec(1, 50_001), K1, grid, 25, 0, 0.1)
 
 
+@pytest.mark.parametrize("estimator", ["trace", "site"])
+def test_dos_mc_chain_blocks_follow_the_worker_count(monkeypatch, estimator):
+    # 40 samples at 5 energies fit one block of the sweep's bound; two workers
+    # still get a block each, and the curve keeps its bytes
+    sizes = []
+
+    def recorded(couplings, z, mode):
+        sizes.append(len(couplings))
+        return _chain_green_diagonals(couplings, z, mode)
+
+    monkeypatch.setattr("cauchydos.spectra._chain_green_diagonals", recorded)
+    curves = {}
+    for workers in (1, 2):
+        monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+        sizes.clear()
+        est = dos_mc(LatticeBoxSpec(1, 64), K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 3, 0.1,
+                     estimator=estimator)
+        curves[workers] = est.mean.tobytes() + est.std_error.tobytes()
+        assert sorted(sizes) == ([40] if workers == 1 else [20, 20])
+    assert curves[1] == curves[2]
+
+
+def test_a_failing_block_stops_the_running_blocks(monkeypatch):
+    # sample 0 fails while the second block is drawing its first sample;
+    # that block draws no further sample
+    calls = []
+    second_started = threading.Event()
+
+    def failing_first(kernel, n_sites, master_seed, i):
+        calls.append(i)
+        if i == 0:
+            second_started.wait(timeout=10.0)
+            raise ValueError("drawn to fail")
+        if i == 20:
+            second_started.set()
+            time.sleep(0.05)
+        return draw_sample(kernel, n_sites, master_seed, i)
+
+    monkeypatch.setenv("CAUCHYDOS_THREADS", "2")
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_first)
+    with pytest.raises(ValueError, match=r"\[sample 0\] drawn to fail"):
+        dos_mc(LatticeBoxSpec(1, 16), K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 0, 0.1)
+    assert sorted(calls) == [0, 20]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failure_inside_a_sweep_block_names_its_sample(monkeypatch, workers):
     def failing_fifth(kernel, n_sites, master_seed, i):
@@ -583,7 +629,7 @@ def test_a_failure_inside_a_sweep_block_names_its_sample(monkeypatch, workers):
 
     monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
     monkeypatch.setattr("cauchydos.spectra.draw_sample", failing_fifth)
-    # 12 samples of 5 energies are one block
+    # 12 samples of 5 energies are one block at one worker and two at two
     with pytest.raises(ValueError, match=r"\[sample 5\] drawn to fail"):
         dos_mc(LatticeBoxSpec(1, 16), K1, EnergyGrid(-1.0, 1.0, 0.5), 12, 0, 0.1)
 
