@@ -16,7 +16,8 @@ measure. Inside the strip |Im E| < lam it continues analytically as
 ``free_stieltjes`` is the one transform per model and ``exact_smoothed`` the
 one formula over it. Closed forms are used where they exist: the
 Kesten-McKay transform (the chain Z is its K = 1 case), the arithmetic-
-geometric mean of Z^2 and i*sqrt(z) for the continuum IDS. Z^d with d >= 3
+geometric mean of Z^2, Joyce's complete elliptic integral of Z^3, taken
+through the same AGM, and i*sqrt(z) for the continuum IDS. Z^d with d >= 4
 keeps the time-domain integral of the diagonal free amplitude J_0(2t)^d,
 
     m(z) = i * int_0^inf exp(i z t) J_0(2t)^d dt,
@@ -123,10 +124,17 @@ def free_stieltjes(model, z):
       so that no cancellation occurs near the removable pole z^2 = (K+1)^2.
       The chain is K = 1, the arcsine law -1 / sqrt(z^2 - 4).
     * Z^2: -1 / (z AGM(1, sqrt(1 - 16/z^2))) (Cox, Enseign. Math. 30, 275,
-      1984). For Im z > 0 the start b lies in the right half-plane, so every
-      a and b stays there and sqrt(a) sqrt(b) is the right root |a - b| <=
-      |a + b|; taking it as two roots keeps a b from overflowing at tiny |z|.
-    * Z^d, d >= 3: i L(-i z) with the Laplace sum ``_lattice_laplace``.
+      1984). For Im z > 0 the start sqrt(1 - 16/z^2), formed as a product of
+      two roots, lies in the right half-plane, where ``_agm`` needs it.
+    * Z^3: -P(6/z) / z with P(u) = (1 - 9 xi^4) / ((1 - xi)^3 (1 + 3 xi))
+      (2 K(k) / pi)^2, k^2 = 16 xi^3 / ((1 - xi)^3 (1 + 3 xi)) and xi^2 =
+      (1 - r9) / (1 + r1), r9 = sqrt(1 - u^2/9), r1 = sqrt(1 - u^2) (Joyce,
+      Phil. Trans. R. Soc. A 273, 583, 1973; this single-K form in Proc. R.
+      Soc. A 445, 463, 1994). K(k) = pi / (2 AGM(1, sqrt(1 - k^2))), and k^2
+      never meets the cut [1, inf) for Im z > 0. Each root is a product of
+      two, 1 - r9 is (u/3)^2 / (1 + r9) and 1 - 9 xi^4 goes through r1 - 3 r9
+      = -8 / (r1 + 3 r9), so nothing cancels at small |z| and u^2 never forms.
+    * Z^d, d >= 4: i L(-i z) with the Laplace sum ``_lattice_laplace``.
     * Continuum: i sqrt(z), whose (1/pi) Im on the real axis is the free IDS
       sqrt(max(E, 0)) / pi.
     """
@@ -139,13 +147,18 @@ def free_stieltjes(model, z):
     if isinstance(model, ContinuumFreeModel):
         return 1j * np.sqrt(z)
     if isinstance(model, LatticeFreeModel) and model.d == 2:
-        a, b = np.ones_like(z), np.sqrt(1.0 - 4.0 / z) * np.sqrt(1.0 + 4.0 / z)
-        for _ in range(64):  # quadratic convergence needs far fewer steps
-            if not np.any(np.abs(a - b) > 1e-15 * np.abs(a)):
-                return -1.0 / (z * a)
-            a, b = (a + b) / 2.0, np.sqrt(a) * np.sqrt(b)
-        raise ValueError("the Z^2 arithmetic-geometric mean did not converge in 64 steps")
-    if isinstance(model, LatticeFreeModel) and model.d > 2:
+        return -1.0 / (z * _agm(np.sqrt(1.0 - 4.0 / z) * np.sqrt(1.0 + 4.0 / z)))
+    if isinstance(model, LatticeFreeModel) and model.d == 3:
+        u = 6.0 / z
+        r9 = np.sqrt(1.0 - u / 3.0) * np.sqrt(1.0 + u / 3.0)
+        r1 = np.sqrt(1.0 - u) * np.sqrt(1.0 + u)
+        w = ((u / 3.0) / (1.0 + r9)) * (u / 3.0)  # 1 - r9, in an order that cannot overflow
+        xi, xi2 = np.sqrt(w) / np.sqrt(1.0 + r1), w / (1.0 + r1)
+        den = (1.0 - xi) ** 3 * (1.0 + 3.0 * xi)
+        # 1 - 9 xi^4, as r1 - 3 r9 = -8 / (r1 + 3 r9)
+        num = (1.0 - 3.0 * xi2) * (4.0 - 8.0 / (r1 + 3.0 * r9)) / (1.0 + r1)
+        return -num / (den * z * _agm(np.sqrt(1.0 - 16.0 * xi * xi2 / den)) ** 2)
+    if isinstance(model, LatticeFreeModel) and model.d > 3:
         return 1j * _lattice_laplace(model.d, -1j * z)
     if isinstance(model, (LatticeFreeModel, BetheFreeModel)):
         K = model.K if isinstance(model, BetheFreeModel) else 1
@@ -154,8 +167,25 @@ def free_stieltjes(model, z):
     raise TypeError(f"unsupported free model {type(model).__name__}")
 
 
+def _agm(b: np.ndarray) -> np.ndarray:
+    """The arithmetic-geometric mean AGM(1, b) of an array b in the right half-plane.
+
+    Every a and b then stays in the right half-plane, so sqrt(a) sqrt(b) is
+    the right root |a - b| <= |a + b|, and as two roots it cannot overflow.
+    """
+    a = np.ones_like(b)
+    for _ in range(64):  # quadratic convergence needs far fewer steps
+        if not np.any(np.abs(a - b) > 1e-15 * np.abs(a)):
+            return a
+        a, b = (a + b) / 2.0, np.sqrt(a) * np.sqrt(b)
+    raise ValueError("the arithmetic-geometric mean did not converge in 64 steps")
+
+
 def _lattice_laplace(d: int, zeta) -> np.ndarray:
     """L(zeta) = int_0^inf exp(-zeta t) J_0(2t)^d dt for Re zeta > 0, as a node sum.
+
+    ``free_stieltjes`` takes it for Z^d with d >= 4; at d <= 3 it is the
+    independent second route that the closed forms are tested against.
 
     T follows from the margin min Re zeta so that the discarded tail is below
     1e-14. [0, T] is cut into equal Gauss-Legendre panels no wider than the

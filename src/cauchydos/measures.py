@@ -30,7 +30,7 @@ __all__ = [
     "write_json",
 ]
 
-# the largest grid any check, test or workload uses has 12,001 points; the d >= 2
+# the largest grid any check, test or workload uses has 12,001 points; the d >= 4
 # exact curve's time integral takes at most this many nodes too
 MAX_GRID_POINTS = 10**7
 CSV_FLOAT = "%.12g"

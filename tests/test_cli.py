@@ -148,11 +148,14 @@ def test_malformed_grid_returns_usage_error_in_process(tmp_path, capsys):
 
 
 def test_exact_time_integral_past_the_node_cap_is_usage_error(tmp_path, capsys):
-    rc = main(["exact", "--model", "lattice", "--dim", "3", "--lambda", "1",
-               "--grid", "0:2e5:1e5", "--out", str(tmp_path)])
+    # d=4 takes the time integral; Z^3's closed form takes any energy
+    args = ["exact", "--model", "lattice", "--lambda", "1", "--grid", "0:2e5:1e5"]
+    rc = main(args + ["--dim", "4", "--out", str(tmp_path / "d4")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not list((tmp_path / "d4").iterdir())
+    assert main(args + ["--dim", "3", "--out", str(tmp_path / "d3")]) == 0
+    assert (tmp_path / "d3" / "exact_lattice_d3.csv").exists()
 
 
 def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path):
@@ -373,16 +376,18 @@ def test_sample_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_exact_d3_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the d>=3 curve's node sum is one BLAS product per block of energies
-    outputs = []
-    for blas in ("1", "2"):
-        out = tmp_path / f"blas{blas}"
-        proc = run_cli(["exact", "--model", "lattice", "--dim", "3", "--lambda", "0.05",
-                        "--grid=-8:8:0.01", "--out", str(out)], tmp_path,
-                       env_extra={"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas})
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "exact_lattice_d3.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    # the d=3 closed form and the d=4 curve, whose node sum is one BLAS product
+    # per block of energies
+    for d in ("3", "4"):
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"d{d}_blas{blas}"
+            proc = run_cli(["exact", "--model", "lattice", "--dim", d, "--lambda", "0.05",
+                            "--grid=-8:8:0.01", "--out", str(out)], tmp_path,
+                           env_extra={"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / f"exact_lattice_d{d}.csv").read_bytes())
+        assert outputs[0] == outputs[1], d
 
 
 def test_ids_bytes_do_not_depend_on_blas_or_sample_threads():

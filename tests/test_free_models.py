@@ -498,7 +498,7 @@ def test_factored_integral_spans_several_energy_blocks():
 def test_phase_powers_match_exp_at_exact_arguments():
     # b x is exact for these x, so np.exp(b x) is the power to a rounding or
     # two; the doubling loses about one rounding per factor of q. 1612 rows
-    # are the block phases of the d=3, lam=0.05 curve at |Im E| = 0.9 lam
+    # are the block phases of the d=4, lam=0.05 curve at |Im E| = 0.9 lam
     x = -2.0**-6 + 1j * np.array([0.0, 0.5, -3.0, 17.125, -31.25, 2.0**-20])
     powers = _powers(np.exp(x), 1612)
     b = np.arange(1612)[:, None]
@@ -508,10 +508,10 @@ def test_phase_powers_match_exp_at_exact_arguments():
     assert np.array_equal(powers[0], np.ones(x.size))
 
 
-def test_d3_curve_peak_memory_stays_in_cache_sized_blocks():
-    # the energy blocks of _BLOCK entries bound the temporaries (1.6 MiB
-    # measured on this curve)
-    model, kernel = LatticeFreeModel(3), CauchyKernel(0.05)
+def test_d4_curve_peak_memory_stays_in_cache_sized_blocks():
+    # the energy blocks of _BLOCK entries bound the temporaries of the Laplace
+    # sum (1.6 MiB measured on this curve)
+    model, kernel = LatticeFreeModel(4), CauchyKernel(0.05)
     e = EnergyGrid(-8.0, 8.0, 0.01).points
     exact_smoothed(model, kernel, e[:10])  # imports and caches
     tracemalloc.start()
@@ -545,19 +545,21 @@ def test_exact_smoothed_outside_strip_raises_for_every_model():
 
 
 def test_time_integral_refuses_node_counts_past_the_grid_cap():
-    # the d >= 3 node count grows with max|E| and with 1/(lam - |Im E|); both are
+    # the d >= 4 node count grows with max|E| and with 1/(lam - |Im E|); both are
     # refused before any node is allocated rather than growing memory without bound
     k = CauchyKernel(1.0)
     with pytest.raises(ValueError, match=r"max\|E\| = 200000"):
-        exact_smoothed(LatticeFreeModel(3), k, 2e5)
+        exact_smoothed(LatticeFreeModel(4), k, 2e5)
     with pytest.raises(ValueError, match="margin 1e-05"):
-        exact_smoothed(LatticeFreeModel(3), k, 0.5 + 0.99999j)
-    # the closed forms cost the same at any energy; far out Z^2 is the kernel tail
-    for model in (LatticeFreeModel(1), LatticeFreeModel(2), BetheFreeModel(2),
-                  ContinuumFreeModel()):
+        exact_smoothed(LatticeFreeModel(4), k, 0.5 + 0.99999j)
+    # the closed forms cost the same at any energy; far out Z^2 and Z^3 are the
+    # kernel tail
+    for model in (LatticeFreeModel(1), LatticeFreeModel(2), LatticeFreeModel(3),
+                  BetheFreeModel(2), ContinuumFreeModel()):
         assert math.isfinite(exact_smoothed(model, k, 1e9))
     tail = k.lam / (math.pi * 2e5**2)
-    assert exact_smoothed(LatticeFreeModel(2), k, 2e5) == pytest.approx(tail, rel=1e-8)
+    for d in (2, 3):
+        assert exact_smoothed(LatticeFreeModel(d), k, 2e5) == pytest.approx(tail, rel=1e-8)
 
 
 def test_non_finite_energy_is_refused_by_every_model():
@@ -592,6 +594,35 @@ def test_square_lattice_agm_matches_laplace_sum(lam):
     assert np.max(np.abs(exact_smoothed(m, k, e) - laplace_smoothed(2, lam, e))) <= 1e-13
     z = e[::9] + 1j * lam * np.linspace(-0.9, 0.9, e[::9].size)
     assert np.max(np.abs(exact_smoothed(m, k, z) - laplace_smoothed(2, lam, z))) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_simple_cubic_elliptic_form_matches_laplace_sum(lam):
+    m, k = LatticeFreeModel(3), CauchyKernel(lam)
+    e = EnergyGrid(-40.0, 40.0, 0.01).points
+    assert np.max(np.abs(exact_smoothed(m, k, e) - laplace_smoothed(3, lam, e))) <= 1e-13
+    z = e[::9] + 1j * lam * np.linspace(-0.9, 0.9, e[::9].size)
+    assert np.max(np.abs(exact_smoothed(m, k, z) - laplace_smoothed(3, lam, z))) <= 1e-13
+
+
+@pytest.mark.parametrize("u, p", [(0.3, 1.01559343282404887887629990979),
+                                  (0.7, 1.10545733713716010374782702368),
+                                  (0.95, 1.30070259819077368772097884818)])
+def test_simple_cubic_matches_bessel_integral_outside_the_band(u, p):
+    # P(u) = int_0^inf exp(-t) I_0(ut/3)^3 dt, frozen from 30-digit quadrature
+    # of that integral (not of Joyce's formula); m(6/u) = -(u/6) P(u) is real
+    m = free_stieltjes(LatticeFreeModel(3), 6.0 / u + 1e-12j)
+    assert m.real == pytest.approx(-(u / 6.0) * p, rel=1e-14, abs=0.0)
+
+
+def test_simple_cubic_is_stable_as_the_height_vanishes():
+    # at E = 0, z = i lam: a literal transcription of Joyce's form loses about
+    # eps * 6/|z| and overflows in u^2 below |z| ~ 1e-154; the limit is rho(0)
+    values = [exact_smoothed(LatticeFreeModel(3), CauchyKernel(lam), 0.0)
+              for lam in (1e-6, 1e-12, 1e-300)]
+    assert all(math.isfinite(v) for v in values)
+    assert max(values) - min(values) <= 1e-6
+    assert values[-1] == pytest.approx(0.1426730, abs=1e-6)
 
 
 def test_square_lattice_agm_matches_stieltjes_quadrature():
