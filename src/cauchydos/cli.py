@@ -122,8 +122,6 @@ def _cmd_charfn(args) -> int:
     grid = EnergyGrid.parse(args.t_grid)
     kernel = CauchyKernel(args.lam)
     spec = LatticeBoxSpec(args.dim, args.size)
-    if not 0 <= args.phi_site < spec.n_sites:
-        return _usage_error(f"--phi-site must lie in [0, {spec.n_sites}), got {args.phi_site}")
     psi_site = args.psi_offset % spec.n_sites
     est = charfn_mc(spec, kernel, grid, args.samples, args.seed,
                     phi_site=args.phi_site, psi_site=psi_site)

@@ -1,10 +1,12 @@
 """Eigensolution, local spectral measures, time evolution, and disorder averaging.
 
 Two independent experimental routes are provided: an energy-domain one built
-on eigendecomposition (for the DOS of trees, chains, rings and meshes, on
-sweeps over the LDL^T pivots of H - z; for their IDS, on a Sturm count of
-the pivots of H - E), and a time-domain one built on a Lanczos (Krylov)
-propagator for exp(itH). A bug in either is caught by disagreement with the
+on eigendecomposition and pivot sweeps, and a time-domain one built on a
+Lanczos (Krylov) propagator for exp(itH). In the energy domain chains, rings
+and meshes take one sampled route for the DOS and the IDS: blocks of samples
+whose LDL^T pivots of H - z give the DOS and whose Sturm count of the pivots
+of H - E gives the IDS. Trees sweep the pivots of H - z for their DOS. A bug
+in either route is caught by disagreement with the
 exact curves of ``free_models``, which nothing here imports. The Chebyshev
 expansion of exp(itH) cross-checks the Lanczos propagator.
 """
@@ -135,38 +137,38 @@ def _chain_couplings(op: SymmetricOperator) -> tuple[np.ndarray, np.ndarray, flo
     return diag, bond, wrap
 
 
-def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues E_k <= E of a chain, ring or mesh at each E in ``e``.
+def _sturm_counts(couplings: list, e: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues E_k <= E of chains, rings or meshes at each E in ``e``.
 
-    No eigenvalue is computed. ``op`` is read by ``_chain_couplings``.
-    Site 0 removed, the open path on sites 1..n-1 (0..n-1 without a wrapping
-    bond) has as many eigenvalues below E as H - E has negative pivots
+    No eigenvalue is computed. One sweep serves a block of operators of one
+    size n, each given by its ``_chain_couplings``, with one row of counts per
+    operator. Site 0 removed, the open path on sites 1..n-1 (0..n-1 without a
+    wrapping bond) has as many eigenvalues below E as H - E has negative pivots
 
         d_k = (a_k - E) - b_{k-1}^2 / d_{k-1}
 
     (Dean, Proc. R. Soc. A 254, 507, 1960). A pivot with |d| < pivmin =
-    tiny * max(1, max b^2) becomes -pivmin, as in LAPACK's dstebz, so a zero
-    pivot counts and the path's count is that of E_k <= E. By Cauchy
-    interlacing a ring has the path's count or one more; the sign of
-    det(H - E) picks which. That sign is the sign of the permutation times
-    those of diag(U) from one banded LU with partial pivoting per energy
-    (``dgbtrf``, backward stable) on the interleaved band of ``_band_form``
-    (w = 2). An entry of diag(U) at or below n eps (max|band| + |E|), the
-    LU's backward error, counts as zero and so as negative: at an energy that
-    is an eigenvalue of the ring, det(H - E) = 0 and the tie is counted.
-    Work O(n m), memory O(m) for m energies. The counts take the shape of ``e``.
+    tiny * max(1, max b^2) over the path's bonds becomes -pivmin, as in
+    LAPACK's dstebz, so a zero pivot counts and the path's count is that of
+    E_k <= E. By Cauchy interlacing a ring has the path's count or one more;
+    the sign of det(H - E) picks which. That sign is the sign of the
+    permutation times those of diag(U) from one banded LU with partial
+    pivoting per operator and energy (``dgbtrf``, backward stable) on the
+    interleaved band of ``_band_form`` (w = 2). An entry of diag(U) at or
+    below n eps (max|band| + |E|), the LU's backward error, counts as zero and
+    so as negative: at an energy that is an eigenvalue of the ring, det(H - E)
+    = 0 and the tie is counted. Each entry is counted alone, so the rows do
+    not depend on the block.
     """
-    shape, e = e.shape, e.ravel()
-    n = op.n
-    diag, bond, wrap = _chain_couplings(op)
-    bond2 = bond ** 2  # bond2[k] = b_{k-1}^2, the bond of sites k-1 and k squared
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(op.vals[op.rows != op.cols] ** 2,
-                                                           initial=0.0)))
-    ring = wrap is not None
-    count = np.zeros(e.size, dtype=np.int64)
+    n, ring = couplings[0][0].size, couplings[0][2] is not None
+    # (site, operator, 1): a site's row broadcasts against the energies; bond2[k] = b_{k-1}^2
+    diag, bond2 = (np.stack(part, axis=1)[:, :, None] for part in list(zip(*couplings))[:2])
+    bond2 **= 2
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, bond2[1 + ring:].max(axis=0, initial=0.0))
+    count = np.zeros((len(couplings), e.size), dtype=np.int64)
     pivot = None
     for start in range(int(ring), n, _STURM_BLOCK):
-        block = diag[start:start + _STURM_BLOCK, None] - e
+        block = diag[start:start + _STURM_BLOCK] - e
         for k, row in enumerate(block, start):
             if pivot is not None:
                 row -= bond2[k] / pivot
@@ -176,26 +178,29 @@ def _sturm_counts(op: SymmetricOperator, e: np.ndarray) -> np.ndarray:
     if ring:
         from scipy.linalg.lapack import dgbtrf
 
-        band = _band_form(op)
-        w = band.shape[0] - 1
-        # general band storage of dgbtrf: diagonal in row 2w, w rows left for fill-in
-        general = np.zeros((3 * w + 1, n))
-        for r in range(w + 1):
-            general[2 * w - r, r:] = general[2 * w + r, :n - r] = band[r, :n - r]
-        unswapped = np.arange(n)
-        tol, scale = n * np.finfo(float).eps, float(np.max(np.abs(band)))
-        odd = np.empty(e.size, dtype=bool)
-        for j, energy in enumerate(e):
-            shifted = general.copy()
-            shifted[2 * w] -= energy
-            lu, piv, _ = dgbtrf(shifted, w, w, overwrite_ab=True)
-            # an entry within the LU's backward error of zero counts as zero, so as
-            # negative, as a zero pivot does above
-            zero = tol * (scale + abs(energy))
-            flips = np.count_nonzero(piv != unswapped) + np.count_nonzero(lu[2 * w] <= zero)
-            odd[j] = flips % 2 == 1
-        count += (count % 2 == 1) != odd
-    return count.reshape(shape)
+        sites = np.arange(n)
+        rows, cols = np.r_[sites, sites[:-1], 0], np.r_[sites, sites[1:], n - 1]
+        tol = n * np.finfo(float).eps
+        for j, (a, b, wrap) in enumerate(couplings):
+            band = _band_form(SymmetricOperator(n, rows, cols, np.r_[a, b[1:], wrap]))
+            w = band.shape[0] - 1
+            # general band storage of dgbtrf: diagonal in row 2w, w rows left for fill-in
+            general = np.zeros((3 * w + 1, n))
+            for r in range(w + 1):
+                general[2 * w - r, r:] = general[2 * w + r, :n - r] = band[r, :n - r]
+            scale = float(np.max(np.abs(band)))
+            odd = np.empty(e.size, dtype=bool)
+            for i, energy in enumerate(e):
+                shifted = general.copy()
+                shifted[2 * w] -= energy
+                lu, piv, _ = dgbtrf(shifted, w, w, overwrite_ab=True)
+                # an entry within the LU's backward error of zero counts as zero, so as
+                # negative, as a zero pivot does above
+                zero = tol * (scale + abs(energy))
+                flips = np.count_nonzero(piv != sites) + np.count_nonzero(lu[2 * w] <= zero)
+                odd[i] = flips % 2 == 1
+            count[j] += (count[j] % 2 == 1) != odd
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +373,24 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
                  sweep=None, cap: int = 1) -> McEstimate:
     """Evaluate one curve over ``x`` per sample i in range(n_samples).
 
-    Without ``sweep``, per_sample(i) is sample i's curve, one task per
-    sample. With it, per_sample(i) is sample i's input and one task sweeps a
-    block of at most ``cap`` consecutive samples, sweep(inputs) returning
-    their curves as rows; with k = max(ceil(n_samples / cap), min(workers,
-    n_samples)) the blocks hold ceil(n_samples / k) samples (the last one
-    fewer), so two workers get two blocks however few the energies. A sweep
-    computes each row alone, so the partition moves no byte. The tasks run
-    on a pool of up to ``workers`` threads. The curves are reduced in index
-    order afterwards to a pointwise mean and standard error, so the outcome
-    is bit-identical no matter how many workers ran or how they were
-    scheduled. The variance is var(re) + var(im); for real curves the second
-    term is exactly 0. Failures are re-raised annotated with the offending
-    sample index; tasks not yet started are then cancelled, and running
-    blocks draw no further sample.
+    per_sample(i) is sample i's curve, or with ``sweep`` its input,
+    sweep(inputs) returning a block's curves as rows. One task handles a
+    block of at most ``cap`` consecutive samples: there are k =
+    max(ceil(n_samples / cap), min(workers, n_samples)) blocks, block j
+    starting at sample floor(j n_samples / k), so every worker gets a block
+    however few the energies. A sweep computes each row alone, so the
+    partition moves no byte. The tasks run on a pool of up to ``workers``
+    threads. The curves are reduced in index order afterwards to a pointwise
+    mean and standard error, so the outcome is bit-identical no matter how
+    many workers ran or how they were scheduled. The variance is var(re) +
+    var(im); for real curves the second term is exactly 0. Failures are
+    re-raised annotated with the offending sample index; tasks not yet
+    started are then cancelled, and running blocks draw no further sample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    size = 1
-    if sweep is not None:
-        size = -(-n_samples // max(-(-n_samples // cap), min(workers, n_samples)))
+    blocks = max(-(-n_samples // cap), min(workers, n_samples))
+    bounds = [j * n_samples // blocks for j in range(blocks + 1)]
     failed = threading.Event()
 
     def guarded(i):
@@ -399,10 +402,10 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
             except TypeError:
                 raise RuntimeError(f"[sample {i}] {exc}") from exc
 
-    def run_block(start):
+    def run_block(start, stop):
         try:
             inputs = []
-            for i in range(start, min(start + size, n_samples)):
+            for i in range(start, stop):
                 if failed.is_set():
                     return None  # the failed block raises in pool.map; this is never read
                 inputs.append(guarded(i))
@@ -411,9 +414,8 @@ def _run_samples(per_sample, n_samples: int, workers: int, x: np.ndarray,
             failed.set()
             raise
 
-    starts = range(0, n_samples, size)
-    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        curves = np.concatenate(list(pool.map(run_block, starts)))
+    with ThreadPoolExecutor(max_workers=min(workers, blocks)) as pool:
+        curves = np.concatenate(list(pool.map(run_block, bounds[:-1], bounds[1:])))
     se = None
     if n_samples >= 2:
         var = curves.real.var(axis=0, ddof=1) + curves.imag.var(axis=0, ddof=1)
@@ -568,6 +570,33 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
     return -(total + slope * g_root).imag / np.pi / omegas.size
 
 
+def _chain_mc(model_spec, kernel: CauchyKernel | None, energies: np.ndarray, n_samples: int,
+              master_seed: int, curves) -> McEstimate:
+    """The chain route of ``dos_mc`` and ``ids_mc``: d=1 boxes and bump families.
+
+    Sample i's input is ``_chain_couplings`` of its operator, and
+    curves(couplings, e) gives a block of samples' rows at the energies e. A
+    block's couplings hold at most MAX_GRID_POINTS entries, samples x sites
+    (a longer chain is refused before any sample is drawn), and the block is
+    swept in energy blocks whose temporaries, samples x energies, hold at most
+    _SWEEP_ENTRIES entries.
+    """
+    _refuse_long_chain(model_spec)
+    n_sites = site_count(model_spec)
+    cap = max(1, min(_SWEEP_ENTRIES // energies.size,
+                     MAX_GRID_POINTS // _operator_dim(model_spec)))
+
+    def per_sample(i):
+        return _chain_couplings(build_operator(model_spec,
+                                               draw_sample(kernel, n_sites, master_seed, i)))
+
+    def sweep(couplings):
+        return _in_blocks(lambda e: curves(couplings, e), energies,
+                          max(1, _SWEEP_ENTRIES // len(couplings)))
+
+    return _run_samples(per_sample, n_samples, worker_count(), energies, sweep, cap)
+
+
 def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples: int,
            master_seed: int, broaden: float, estimator: str = "trace") -> McEstimate:
     """Disorder-averaged broadened local density of states on a grid.
@@ -578,24 +607,22 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     sites (unbiased for translation-invariant boxes, far lower variance);
     "site" uses the single-site measure at the origin/root. Trees take the
     leaf-to-root pivot sweep, bounded by its temporaries, in blocks of
-    _TREE_CHUNK energies. Chains, rings and meshes take the pivot sweep of
-    ``_chain_green_diagonals`` over blocks of samples: a block's couplings
-    hold at most MAX_GRID_POINTS entries, samples x sites (a longer chain is
-    refused), and each sweep temporary at most _SWEEP_ENTRIES, samples x
-    energies. d>=2 boxes take LAPACK, bounded by DENSE_CAP, and broaden in
-    blocks of at most MAX_GRID_POINTS entries.
+    _TREE_CHUNK energies. Chains, rings and meshes take ``_chain_mc``, whose
+    blocks of samples ``_chain_green_diagonals`` sweeps. d>=2 boxes take
+    LAPACK, bounded by DENSE_CAP, and broaden in blocks of at most
+    MAX_GRID_POINTS entries.
     """
     if not (broaden > 0):
         raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
     if estimator not in ("trace", "site"):
         raise ValueError(f"unknown estimator {estimator!r}")
     energies = grid.points
+    if _is_chain(model_spec):
+        return _chain_mc(model_spec, kernel, energies, n_samples, master_seed,
+                         lambda couplings, e: _chain_green_diagonals(couplings, e + 1j * broaden,
+                                                                     estimator))
     n_sites = site_count(model_spec)
     smear = CauchyKernel(broaden)
-    sweep, cap = None, 1
-
-    def operator(i):
-        return build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
 
     if isinstance(model_spec, TreeSpec):
         _refuse_deep_tree(model_spec)
@@ -607,25 +634,12 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
                 return _tree_green_diagonals(model_spec, omegas, e + 1j * broaden, estimator)
             return _in_blocks(curve, energies, _TREE_CHUNK)
 
-    elif _is_chain(model_spec):
-        _refuse_long_chain(model_spec)
-        cap = max(1, min(_SWEEP_ENTRIES // energies.size,
-                         MAX_GRID_POINTS // _operator_dim(model_spec)))
-
-        def per_sample(i):
-            return _chain_couplings(operator(i))
-
-        def sweep(couplings):
-            def curve(e):
-                return _chain_green_diagonals(couplings, e + 1j * broaden, estimator)
-            return _in_blocks(curve, energies, max(1, _SWEEP_ENTRIES // len(couplings)))
-
     else:
         _refuse_dense(model_spec)
         block = max(1, MAX_GRID_POINTS // _operator_dim(model_spec))
 
         def per_sample(i):
-            op = operator(i)
+            op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
             if estimator == "trace":
                 values, weights = eigvals_sym(op), None
             else:
@@ -637,35 +651,33 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
                 return poisson.sum(axis=1) / values.size if weights is None else poisson @ weights
             return _in_blocks(curve, energies, block)
 
-    return _run_samples(per_sample, n_samples, worker_count(), energies, sweep, cap)
+    return _run_samples(per_sample, n_samples, worker_count(), energies)
 
 
-def ids_mc(model_spec, kernel: CauchyKernel | None, e_points: np.ndarray, n_samples: int,
+def ids_mc(model_spec, kernel: CauchyKernel | None, e_points, n_samples: int,
            master_seed: int) -> McEstimate:
-    """Disorder-averaged eigenvalue-counting IDS evaluated at fixed energies.
+    """Disorder-averaged eigenvalue-counting IDS at a 1-d array of energies.
 
-    Counts are divided by the box volume, ``site_count`` (the bump count of a
-    continuum mesh). Chains, rings and meshes (d=1 boxes and bump families)
-    are counted by ``_sturm_counts`` and have no size cap; trees and d>=2
-    boxes count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP.
-    A NaN or infinite energy raises ValueError before any sample is drawn.
+    A scalar energy is one point. Counts are divided by the box volume,
+    ``site_count`` (the bump count of a continuum mesh). Chains, rings and
+    meshes (d=1 boxes and bump families) take ``_chain_mc``, whose blocks of
+    samples ``_sturm_counts`` counts, with no DENSE_CAP; trees and d>=2 boxes
+    count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP. A NaN or
+    infinite energy raises ValueError before any sample is drawn.
     """
-    e_points = np.asarray(e_points, dtype=float)
+    e_points = np.atleast_1d(np.asarray(e_points, dtype=float))
     if not np.all(np.isfinite(e_points)):
         raise ValueError("ids_mc requires finite energies")
     n_sites = site_count(model_spec)
     if _is_chain(model_spec):
-        count = _sturm_counts
-    else:
-        _refuse_dense(model_spec)
-
-        def count(op, e):
-            # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
-            return np.searchsorted(eigvals_sym(op), e, side="right")
+        return _chain_mc(model_spec, kernel, e_points, n_samples, master_seed,
+                         lambda couplings, e: _sturm_counts(couplings, e) / n_sites)
+    _refuse_dense(model_spec)
 
     def per_sample(i):
         op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
-        return count(op, e_points) / n_sites
+        # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
+        return np.searchsorted(eigvals_sym(op), e_points, side="right") / n_sites
 
     return _run_samples(per_sample, n_samples, worker_count(), e_points)
 
@@ -677,15 +689,16 @@ def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_sam
     Each sample takes one Lanczos run from psi for the whole grid
     (:func:`krylov_charfn`): it stops once beta_m * max_t |e_m^T exp(itT_m) e_1|
     <= KRYLOV_TOL, holds an n x m basis (m is a few dozen on the d=1 rings of
-    the checks), and its cost does not depend on max|omega|. A spec whose
-    first basis block exceeds MAX_GRID_POINTS entries is refused before any
-    sample is drawn. The t=0 entry is <phi, psi> exactly, with zero variance.
+    the checks), and its cost does not depend on max|omega|. A site outside
+    [0, n) raises ValueError, and a spec whose first basis block exceeds
+    MAX_GRID_POINTS entries CapExceededError, both before any sample is
+    drawn. The t=0 entry is <phi, psi> exactly, with zero variance.
     """
     times = t_grid.points
     n_sites = site_count(model_spec)
     dim = _operator_dim(model_spec)
     if not (0 <= phi_site < dim and 0 <= psi_site < dim):
-        raise IndexError(f"phi/psi sites out of range for n={dim}")
+        raise ValueError(f"phi_site {phi_site} and psi_site {psi_site} must lie in [0, {dim})")
     _krylov_rows(_KRYLOV_BLOCK, dim)
 
     def per_sample(i):

@@ -425,9 +425,9 @@ def test_malformed_thread_count_is_usage_error(tmp_path):
 
 def test_charfn_out_of_range_phi_site_is_usage_error(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("charfn_mc ran before the usage check")
+        raise AssertionError("a sample was drawn before the usage check")
 
-    monkeypatch.setattr("cauchydos.cli.charfn_mc", no_sampling)
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
     for site in ("99", "-1"):
         rc = main(["charfn", "--model", "lattice", "--size", "8", "--samples", "2",
                    "--lambda", "1", "--phi-site", site, "--out", str(tmp_path)])

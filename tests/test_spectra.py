@@ -198,7 +198,7 @@ def test_sturm_counts_of_free_rings_match_the_closed_form(side):
     # Schur complement of site 0 carried through the sweep loses its sign there
     spectrum = _free_ring_spectrum(side)
     probes = np.concatenate([spectrum - 1e-9, spectrum + 1e-9, [0.0] if side % 2 else []])
-    counts = _sturm_counts(build_lattice(LatticeBoxSpec(1, side)), probes)
+    counts = _sturm_counts([_chain_couplings(build_lattice(LatticeBoxSpec(1, side)))], probes)[0]
     assert np.array_equal(counts, np.searchsorted(spectrum, probes, side="right"))
 
 
@@ -212,7 +212,8 @@ def test_sturm_counts_count_every_exact_eigenvalue_of_a_free_ring():
         ties = np.intersect1d(spectrum, [-2.0, -1.0, 0.0, 1.0, 2.0])
         expected = np.searchsorted(spectrum, ties, side="right")
         spec = LatticeBoxSpec(1, side)
-        assert np.array_equal(_sturm_counts(build_lattice(spec), ties), expected), side
+        assert np.array_equal(_sturm_counts([_chain_couplings(build_lattice(spec))], ties)[0],
+                              expected), side
         assert np.array_equal(ids_mc(spec, None, ties, 1, 0).mean, expected / side), side
         ties_seen += ties.size
     assert ties_seen == 24
@@ -220,24 +221,27 @@ def test_sturm_counts_count_every_exact_eigenvalue_of_a_free_ring():
 
 @pytest.mark.parametrize("spec, scale", [
     *[(LatticeBoxSpec(1, side), 1.0) for side in (1, 2, 3, 4, 7, 50)],
-    (LatticeBoxSpec(1, 50), 1e8), (BumpFamily(25, 0.1), 1.0), (BumpFamily(25, 0.1), 1e8),
+    *[(LatticeBoxSpec(1, side), 1e8) for side in (1, 2, 3, 7, 50)],
+    (BumpFamily(25, 0.1), 1.0), (BumpFamily(25, 0.1), 1e8),
 ], ids=repr)
 def test_sturm_counts_match_the_band_eigenvalue_count(spec, scale):
     # 200 Cauchy-spread energies at the disorder's scale, about the centre of
-    # the clean spectrum (0 on a ring, 2/h^2 on a mesh)
+    # the clean spectrum (0 on a ring, 2/h^2 on a mesh); a block of 5 samples
+    # counts each as it is counted alone
     kernel = CauchyKernel(scale)
-    op = build_operator(spec, draw_sample(kernel, site_count(spec), 11, 0))
+    ops = [build_operator(spec, draw_sample(kernel, site_count(spec), 11, i)) for i in range(5)]
     centre = 2.0 / spec.h ** 2 if isinstance(spec, BumpFamily) else 0.0
     energies = centre + scale * np.tan(np.pi * (np.arange(200) + 0.5) / 200 - np.pi / 2)
-    expected = np.searchsorted(eigvals_sym(op), energies, side="right")
-    assert np.array_equal(_sturm_counts(op, energies), expected)
-    # the counts take the shape of the energies, as searchsorted's do
-    assert np.array_equal(_sturm_counts(op, energies.reshape(20, 10)), expected.reshape(20, 10))
-    assert _sturm_counts(op, energies[7:8].reshape(())) == expected[7]
+    block = _sturm_counts([_chain_couplings(op) for op in ops], energies)
+    assert block.shape == (5, 200)
+    for op, counts in zip(ops, block):
+        expected = np.searchsorted(eigvals_sym(op), energies, side="right")
+        assert np.array_equal(_sturm_counts([_chain_couplings(op)], energies)[0], expected)
+        assert np.array_equal(counts, expected)
 
 
 def test_ids_mc_counts_a_ring_above_the_dense_cap():
-    # the Sturm route has no DENSE_CAP: its work is O(n m) and its memory O(m)
+    # the Sturm route has no DENSE_CAP: its work is O(n m) per sample
     from scipy.linalg import eigvals_banded
 
     spec = LatticeBoxSpec(1, DENSE_CAP + 1)
@@ -547,7 +551,7 @@ def test_chain_sweep_blocks_equal_single_sample_sweeps():
 
 def test_dos_mc_chain_blocks_follow_the_coupling_bound(monkeypatch):
     # 25 samples of a 5000-site ring at 3 energies: at most 50,000 // 5000
-    # = 10 samples of couplings per block, so blocks of 9, 9 and 7; a block
+    # = 10 samples of couplings per block, so 3 blocks of 8, 8 and 9; a block
     # holds about 32 bytes per site and sample (1.4 MiB peak measured), where
     # one block of all 25 samples' operators peaked at 9.6 MiB
     sizes = []
@@ -567,18 +571,22 @@ def test_dos_mc_chain_blocks_follow_the_coupling_bound(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [9, 9, 7]
+    assert sizes == [8, 8, 9]
     assert peak <= 48 * 50_000
-    # a ring whose one sample would hold more is refused before any sample is drawn
+    # a ring whose one sample would hold more is refused before any sample is
+    # drawn, by both estimators
     monkeypatch.setattr("cauchydos.spectra.draw_sample", None)
     with pytest.raises(CapExceededError, match="chain pivot sweep"):
         dos_mc(LatticeBoxSpec(1, 50_001), K1, grid, 25, 0, 0.1)
+    with pytest.raises(CapExceededError, match="chain pivot sweep"):
+        ids_mc(LatticeBoxSpec(1, 50_001), K1, [0.0], 25, 0)
 
 
 @pytest.mark.parametrize("estimator", ["trace", "site"])
 def test_dos_mc_chain_blocks_follow_the_worker_count(monkeypatch, estimator):
     # 40 samples at 5 energies fit one block of the sweep's bound; two workers
-    # still get a block each, and the curve keeps its bytes
+    # still get a block each, and 5 samples on four workers four blocks,
+    # starting at samples 0, 1, 2 and 3; the curves keep their bytes
     sizes = []
 
     def recorded(couplings, z, mode):
@@ -586,15 +594,33 @@ def test_dos_mc_chain_blocks_follow_the_worker_count(monkeypatch, estimator):
         return _chain_green_diagonals(couplings, z, mode)
 
     monkeypatch.setattr("cauchydos.spectra._chain_green_diagonals", recorded)
-    curves = {}
-    for workers in (1, 2):
-        monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
-        sizes.clear()
-        est = dos_mc(LatticeBoxSpec(1, 64), K1, EnergyGrid(-1.0, 1.0, 0.5), 40, 3, 0.1,
-                     estimator=estimator)
-        curves[workers] = est.mean.tobytes() + est.std_error.tobytes()
-        assert sorted(sizes) == ([40] if workers == 1 else [20, 20])
-    assert curves[1] == curves[2]
+    for n_samples, blocks in ((40, {1: [40], 2: [20, 20]}), (5, {1: [5], 4: [1, 1, 1, 2]})):
+        curves = set()
+        for workers, expected in blocks.items():
+            monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+            sizes.clear()
+            est = dos_mc(LatticeBoxSpec(1, 64), K1, EnergyGrid(-1.0, 1.0, 0.5), n_samples, 3,
+                         0.1, estimator=estimator)
+            curves.add(est.mean.tobytes() + est.std_error.tobytes())
+            assert sorted(sizes) == expected
+        assert len(curves) == 1
+
+
+def test_ids_mc_chain_blocks_do_not_move_the_counts(monkeypatch):
+    # the same bytes on 1, 2 and 3 workers, and with a cap of 100 sweep
+    # entries, which counts 161 energies one sample at a time in energy blocks
+    # of 100 and 61
+    grid = EnergyGrid(-4.0, 4.0, 0.05).points
+    for spec in [*[LatticeBoxSpec(1, side) for side in (1, 2, 7, 300)], BumpFamily(25, 0.1)]:
+        # a mesh's spectrum lies about [0, 4/h^2]
+        energies = 2.0 / spec.h ** 2 + 50.0 * grid if isinstance(spec, BumpFamily) else grid
+        outputs = set()
+        for workers, entries in ((1, 8192), (2, 8192), (3, 8192), (2, 100)):
+            monkeypatch.setenv("CAUCHYDOS_THREADS", str(workers))
+            monkeypatch.setattr("cauchydos.spectra._SWEEP_ENTRIES", entries)
+            est = ids_mc(spec, K1, energies, 7, 5)
+            outputs.add(est.mean.tobytes() + est.std_error.tobytes())
+        assert len(outputs) == 1, spec
 
 
 def test_a_failing_block_stops_the_running_blocks(monkeypatch):
