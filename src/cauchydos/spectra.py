@@ -5,7 +5,8 @@ on eigendecomposition and pivot sweeps, and a time-domain one built on a
 Lanczos (Krylov) propagator for exp(itH). In the energy domain chains, rings
 and meshes take one sampled route for the DOS and the IDS: blocks of samples
 whose LDL^T pivots of H - z give the DOS and whose Sturm count of the pivots
-of H - E gives the IDS. Trees sweep the pivots of H - z for their DOS. A bug
+of H - E gives the IDS. Trees sweep the pivots of H - z for their DOS, one
+cache-sized group of subtrees at a time below a split level. A bug
 in either route is caught by disagreement with the
 exact curves of ``free_models``, which nothing here imports. The Chebyshev
 expansion of exp(itH) cross-checks the Lanczos propagator.
@@ -480,46 +481,58 @@ def _chain_green_diagonals(couplings: list, z: np.ndarray, mode: str) -> np.ndar
         d_k = a_k - z - b_{k-1}^2 / d_{k-1},   d'_k = -1 + b_{k-1}^2 d'_{k-1} / d_{k-1}^2,
 
     and the fill toward site 0, c_1 = b_0 and c_{k+1} = w_{k+1} - b_k c_k / d_k
-    (w_{n-1} the wrapping bond, 0 elsewhere), with its derivative. Site 0,
-    last, is left with s = a_0 - z - sum_k c_k^2 / d_k. mode="site" returns
-    (1/pi) Im G_00 = (1/pi) Im 1/s; mode="trace" the site average of
-    (1/pi) Im G_kk, as Tr G = -sum_k d'_k/d_k - s'/s. Im z > 0 keeps every
-    |d_k| >= Im z and |c_k| <= |b_0 b_{k-1}| / Im z, so no pivoting is needed.
-    Each entry is computed alone, so the rows do not depend on the block.
+    (w_{n-1} the wrapping bond, 0 elsewhere). Site 0, last, is left with
+    s = a_0 - z - sum_k c_k^2 / d_k. mode="site" returns (1/pi) Im G_00 =
+    (1/pi) Im 1/s; mode="trace" the site average of (1/pi) Im G_kk, as
+    Tr G = -sum_k d'_k/d_k - s'/s. Until the wrapping bond the fill's
+    derivative needs no array of its own: c'_k / c_k = -L_{k-1}, where
+    L_k = sum_{j<=k} d'_j/d_j, so (c_k^2/d_k)' = -(c_k^2/d_k)(2 L_{k-1} + d'_k/d_k).
+    A ring's last site takes c'_{n-1} = b_{n-2} (c_{n-2}/d_{n-2}) L_{n-2}.
+    Im z > 0 keeps every |d_k| >= Im z and |c_k| <= |b_0 b_{k-1}| / Im z, so
+    no pivoting is needed. Each entry is computed alone, so the rows do not
+    depend on the block.
     """
     n, trace = couplings[0][0].size, mode == "trace"
+    ring = couplings[0][2] is not None
     # (site, operator, 1): a site's row broadcasts against the energies; bond[k] = b_{k-1}
     diag, bond = (np.stack(part, axis=1)[:, :, None] for part in list(zip(*couplings))[:2])
     wrap = np.array([[0.0 if w is None else w] for _, _, w in couplings])
     shape = (len(couplings), z.size)
     fills = np.zeros(shape, complex)  # sum_k c_k^2 / d_k
     if trace:
-        logs = np.zeros(shape, complex)  # sum_k d'_k / d_k
+        logs = np.zeros(shape, complex)  # L_k = sum_{j<=k} d'_j / d_j
         slopes = np.zeros(shape, complex)  # sum_k (c_k^2 / d_k)'
     if n > 1:
-        r, v, tmp, c = (np.empty(shape, complex) for _ in range(4))
+        r, v, t, c = (np.empty(shape, complex) for _ in range(4))
         d = np.subtract(diag[1], z)
         c[...] = bond[1]
         if trace:
-            u, y = np.empty(shape, complex), np.empty(shape, complex)
-            dp, cp = np.full(shape, -1.0 + 0j), np.zeros(shape, complex)
+            u, w = np.empty(shape, complex), np.empty(shape, complex)
+            dp = np.full(shape, -1.0 + 0j)
     for k in range(1, n):
         np.divide(1.0, d, out=r)
         np.multiply(c, r, out=v)  # c/d
-        fills += np.multiply(c, v, out=tmp)
+        fills += np.multiply(c, v, out=t)  # c^2/d
         if trace:
-            logs += np.multiply(dp, r, out=u)  # d'/d
-            np.multiply(cp, r, out=y)  # c'/d
-            np.subtract(y, np.multiply(v, u, out=tmp), out=cp)  # (c/d)'
-            slopes += np.multiply(c, np.add(cp, y, out=tmp), out=tmp)
+            np.multiply(dp, r, out=u)  # d'/d
+            if ring and k == n - 1:
+                # w holds c'_{n-1}: (c^2/d)' = (c/d)(2c' - c d'/d)
+                w += w
+                w -= np.multiply(c, u, out=r)
+                slopes += np.multiply(w, v, out=w)
+            else:  # (c^2/d)' = -(c^2/d)(2 L_{k-1} + d'/d)
+                np.add(logs, logs, out=w)
+                w += u
+                slopes -= np.multiply(w, t, out=w)
+            logs += u
         if k == n - 1:
             break
-        hop = -bond[k + 1]
-        if trace:
-            cp *= hop
-        np.multiply(v, hop, out=c)
+        np.multiply(v, -bond[k + 1], out=c)
         if k + 1 == n - 1:
             c += wrap
+            if trace and ring:  # c'_{n-1} = b_{n-2} (c/d) L_{n-2}
+                np.multiply(v, logs, out=w)
+                w *= bond[k + 1]
         r *= bond[k + 1] ** 2  # b_k^2 / d_k
         if trace:
             np.multiply(r, u, out=dp)
@@ -533,6 +546,11 @@ def _chain_green_diagonals(couplings: list, z: np.ndarray, mode: str) -> np.ndar
     return ((1.0 + slopes) / s - logs).imag / np.pi / n
 
 
+# vertices of the deepest level per group of the tree sweep: at 48 energies a
+# group's largest buffer is 1.5 MiB, within a 2 MiB L2
+_TREE_GROUP = 2048
+
+
 def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
                           mode: str) -> np.ndarray:
     """Broadened local density on the truncated tree from the LDL^T pivots of H - z.
@@ -541,32 +559,91 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
     d'_v = -1 + sum_c d'_c/d_c^2 over the children c of v. mode="site" returns
     (1/pi) Im G_00 = (1/pi) Im 1/d_root; mode="trace" the vertex average of
     (1/pi) Im G_vv, as Tr G = -sum_v d'_v/d_v. Im z > 0 keeps |d_v| >= Im z.
+
+    In BFS order the descendants of consecutive vertices are one slice of
+    every deeper level. Below the split level, the shallowest level l >= 1
+    whose vertices have at most _TREE_GROUP descendants at the deepest one,
+    the sweep runs one group of _TREE_GROUP // K^(depth - l) vertices of
+    level l at a time, in buffers sized by the group and allocated once; the
+    levels above take the split level's pivots and slopes whole. A level's
+    trace terms are summed row by row across the groups, the order of
+    numpy's sum over a whole level, so the curves do not depend on the
+    groups. numpy sums a one-energy column pairwise instead, so one energy
+    takes the whole tree as one group.
     """
     trace = mode == "trace"
-    end = omegas.size
-    pivots = slopes = None
-    total = 0.0
-    for size in reversed(tree_level_sizes(spec)):
-        d = omegas[end - size:end, None] - z
-        end -= size
-        s = None  # a leaf's slope d'_v is -1 and is not stored
-        if pivots is not None:
-            # each vertex's children are one contiguous block of the level below;
-            # the level's pivots and slopes are not read again, so overwrite them
-            inv = np.divide(1.0, pivots, out=pivots).reshape(size, -1, z.size)
-            d -= inv.sum(axis=1)
-            if trace and slopes is None:
-                total = -inv.sum(axis=(0, 1))
-                s = -np.multiply(inv, inv, out=inv).sum(axis=1) - 1.0
-            elif trace:
-                w = np.multiply(slopes, pivots, out=slopes).reshape(size, -1, z.size)
-                total = total + w.sum(axis=(0, 1))
-                s = np.multiply(w, inv, out=w).sum(axis=1) - 1.0
-        pivots, slopes = d, s
-    g_root = 1.0 / pivots[0]
+    K, depth, nz = spec.K, spec.depth, z.size
+    sizes = tree_level_sizes(spec)
+    starts = np.cumsum([0] + sizes)
+    limit = _TREE_GROUP if nz > 1 else sizes[-1]
+    split = next((m for m in range(1, depth + 1) if K ** (depth - m) <= limit), 0)
+    group = limit // K ** (depth - split)
+    sums = np.empty((depth + 1, nz), complex)  # sums[m]: level m's trace terms so far
+
+    def sweep(m, lo, n, below, out, tmp):
+        """Pivots (and slopes) of the n vertices of level m from its lo-th into
+        rows 1..n of the buffers ``out``, from their children's in rows 1.. of
+        ``below``; row 0 of a buffer is spare and carries level m+1's sum
+        from the groups before."""
+        d = out[0][1:n + 1]
+        np.subtract(omegas[starts[m] + lo:starts[m] + lo + n, None], z, out=d)
+        if m == depth:
+            return  # a leaf's slope d'_v is -1 and is not stored
+        # each vertex's children are one contiguous block of the level below;
+        # their pivots and slopes are not read again, so overwrite them
+        rows = n * K if m else sizes[1]
+        inv = np.divide(1.0, below[0][1:rows + 1], out=below[0][1:rows + 1])
+        np.subtract(d, np.sum(inv.reshape(n, -1, nz), axis=1, out=tmp[:n]), out=d)
+        if not trace:
+            return
+        leaves = m + 1 == depth
+        held = below[0] if leaves else below[1]
+        terms = inv if leaves else np.multiply(held[1:rows + 1], inv, out=held[1:rows + 1])
+        if lo == 0:
+            np.sum(terms, axis=0, out=sums[m + 1])
+        else:
+            held[0] = sums[m + 1]
+            np.sum(held[:rows + 1], axis=0, out=sums[m + 1])
+        s = out[1][1:n + 1]
+        np.sum(np.multiply(terms, inv, out=terms).reshape(n, -1, nz), axis=1, out=s)
+        if leaves:
+            np.negative(s, out=s)
+        s -= 1.0
+
+    def span(m):  # a group's rows of level m below the split, after a spare row
+        return 1 + group * K ** (m - split) if m > split else 0
+
+    # one allocation holds the group's five buffers: the pivots of levels depth
+    # and depth-1, the slopes of levels depth-2 and depth-1 and the child sums,
+    # so that malloc reuses its pages from call to call (five allocations
+    # faulted in about 900 fresh pages per call on a depth-12 tree)
+    widths = [span(depth), span(depth - 1)] + [span(depth - 2), span(depth - 1)] * trace
+    children = group * K ** (depth - split) // K if depth > split else 0
+    parts = np.split(np.empty((sum(widths) + children, nz), complex), np.cumsum(widths))
+    pivots, slopes, tmp = parts[:2], parts[2:4] if trace else [None, None], parts[-1]
+    level = [np.empty((1 + sizes[split], nz), complex) for _ in range(1 + trace)]
+    for lo in range(0, sizes[split], group):
+        n = min(group, sizes[split] - lo)
+        below = None
+        for m in range(depth, split - 1, -1):
+            grown = K ** (m - split)
+            out = ([b[lo:] for b in level] if m == split else
+                   (pivots[(depth - m) % 2], slopes[(depth - m) % 2]))
+            sweep(m, lo * grown, n * grown, below, out, tmp)
+            below = out
+    for m in range(split - 1, -1, -1):
+        out = [np.empty((1 + sizes[m], nz), complex) for _ in range(1 + trace)]
+        sweep(m, 0, sizes[m], level, out, np.empty((sizes[m], nz), complex))
+        level = out
+    g_root = 1.0 / level[0][1]
     if not trace:
         return g_root.imag / np.pi
-    slope = -1.0 if slopes is None else slopes[0]
+    total = 0.0
+    if depth:
+        total = -sums[depth]
+        for m in range(depth - 1, 0, -1):
+            total = total + sums[m]
+    slope = -1.0 if depth == 0 else level[1][1]
     return -(total + slope * g_root).imag / np.pi / omegas.size
 
 
@@ -606,8 +683,9 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
     "site" uses the single-site measure at the origin/root. Trees take the
-    leaf-to-root pivot sweep, bounded by its temporaries, in blocks of
-    _TREE_CHUNK energies. Chains, rings and meshes take ``_chain_mc``, whose
+    leaf-to-root pivot sweep in blocks of _TREE_CHUNK energies, which works
+    one group of subtrees at a time below a split level; the refusal still
+    bounds the deepest level times _TREE_CHUNK. Chains, rings and meshes take ``_chain_mc``, whose
     blocks of samples ``_chain_green_diagonals`` sweeps. d>=2 boxes take
     LAPACK, bounded by DENSE_CAP, and broaden in blocks of at most
     MAX_GRID_POINTS entries.

@@ -20,6 +20,7 @@ from cauchydos.ensemble import (
     build_tree,
     draw_sample,
     site_count,
+    tree_level_sizes,
 )
 from cauchydos.errors import CapExceededError, EnclosureError
 from cauchydos.free_models import exact_smoothed, LatticeFreeModel
@@ -532,6 +533,31 @@ def test_chain_sweep_matches_the_eigen_routes(spec, scale):
         assert np.max(np.abs(curves - ref)) <= tol * np.max(np.abs(ref)), estimator
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e-3])
+@pytest.mark.parametrize("spec", [LatticeBoxSpec(1, side) for side in (1, 2, 3, 4, 7)]
+                         + [BumpFamily(25, 0.1), BumpFamily(100, 0.05)], ids=repr)
+def test_chain_trace_recurrence_matches_broadened_eigenvalues(spec, scale):
+    # the fill's derivative from c'_k / c_k = -L_{k-1}: a 2-site box is a path
+    # (no wrapping bond) and takes that rule at every site; a ring from 3
+    # sites takes c'_{n-1} explicitly after the wrap. Dense LAPACK's eigenvalues
+    # carry an absolute error near eps times the spectral radius: max|omega|
+    # at scale 1e8, and 4/h^2 (1600 at h = 0.05) on the meshes
+    energies = np.linspace(-4.0, 4.0, 33)
+    eta = 0.3
+    ops = [build_operator(spec, draw_sample(CauchyKernel(scale), site_count(spec), 6, i))
+           for i in range(3)]
+    couplings = [_chain_couplings(op) for op in ops]
+    assert (couplings[0][2] is None) == (ops[0].n <= 2)
+    curves = _chain_green_diagonals(couplings, energies + 1j * eta, "trace")
+    smear = CauchyKernel(eta)
+    ref = np.array([cauchy_density(smear, energies[:, None] - np.linalg.eigvalsh(op.to_dense()))
+                    .mean(axis=1) for op in ops])
+    tol = 1e-11 if isinstance(spec, BumpFamily) else 1e-12
+    if scale == 1e8:
+        tol = 1e-9
+    assert np.max(np.abs(curves - ref)) <= tol * np.max(np.abs(ref))
+
+
 def test_chain_sweep_blocks_equal_single_sample_sweeps():
     # every entry is computed alone, so neither the sample block nor the
     # energy block moves a bit of a curve
@@ -758,6 +784,71 @@ def test_tree_green_depth_zero_single_site():
     out = _tree_green_diagonals(spec, np.array([1.5]), z, "site")
     expected = (1.0 / (1.5 - z)).imag / np.pi
     assert out[0] == pytest.approx(expected[0], abs=1e-15)
+
+
+def _level_by_level_tree_sweep(spec, omegas, z, mode):
+    """The tree pivot sweep one whole BFS level at a time, the reference for the grouped one."""
+    trace = mode == "trace"
+    end = omegas.size
+    pivots = slopes = None
+    total = 0.0
+    for size in reversed(tree_level_sizes(spec)):
+        d = omegas[end - size:end, None] - z
+        end -= size
+        s = None
+        if pivots is not None:
+            inv = np.divide(1.0, pivots, out=pivots).reshape(size, -1, z.size)
+            d -= inv.sum(axis=1)
+            if trace and slopes is None:
+                total = -inv.sum(axis=(0, 1))
+                s = -np.multiply(inv, inv, out=inv).sum(axis=1) - 1.0
+            elif trace:
+                w = np.multiply(slopes, pivots, out=slopes).reshape(size, -1, z.size)
+                total = total + w.sum(axis=(0, 1))
+                s = np.multiply(w, inv, out=w).sum(axis=1) - 1.0
+        pivots, slopes = d, s
+    g_root = 1.0 / pivots[0]
+    if not trace:
+        return g_root.imag / np.pi
+    slope = -1.0 if slopes is None else slopes[0]
+    return -(total + slope * g_root).imag / np.pi / omegas.size
+
+
+@pytest.mark.parametrize("K,depth", [(K, depth) for K in (2, 3, 4) for depth in (0, 1, 2, 5, 6, 7)]
+                         + [(2, 12)])
+def test_grouped_tree_sweep_equals_the_level_by_level_sweep(monkeypatch, K, depth):
+    # groups of at most 4 deepest vertices split these trees into many groups
+    # at split levels depth - 2 (K=2) and depth - 1 (K=3, 4); the default
+    # groups split the depth-12 tree in 3. Each level's trace terms are summed
+    # row by row across the groups, as numpy sums a whole level, so no bit
+    # moves; one energy, which numpy sums pairwise, takes one group
+    spec = TreeSpec(K, depth)
+    for group in (4, 2048):
+        monkeypatch.setattr("cauchydos.spectra._TREE_GROUP", group)
+        for scale in (1.0, 1e8):
+            omegas = draw_sample(CauchyKernel(scale), spec.n_vertices, 11, depth).omegas
+            for count in (48, 13, 1):
+                z = np.linspace(-3.0, 3.0, count) + 0.1j
+                for mode in ("trace", "site"):
+                    grouped = _tree_green_diagonals(spec, omegas, z, mode)
+                    whole = _level_by_level_tree_sweep(spec, omegas, z, mode)
+                    assert grouped.tobytes() == whole.tobytes(), (group, scale, count, mode)
+
+
+def test_grouped_tree_sweep_temporaries_do_not_follow_the_deepest_level():
+    # one 48-energy chunk of a depth-14 tree: the level-by-level sweep peaked
+    # at 40.8 MiB (its deepest level, 24,576 x 48 entries, twice); the
+    # groups' buffers hold about 4.4 MiB at any depth
+    spec = TreeSpec(2, 14)
+    omegas = draw_sample(K1, spec.n_vertices, 0, 0).omegas
+    z = np.linspace(-3.0, 3.0, 48) + 0.1j
+    tracemalloc.start()
+    try:
+        _tree_green_diagonals(spec, omegas, z, "trace")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_dos_mc_deterministic_across_runs_and_workers(monkeypatch):
