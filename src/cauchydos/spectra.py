@@ -2,14 +2,13 @@
 
 Two independent experimental routes are provided: an energy-domain one built
 on eigendecomposition and pivot sweeps, and a time-domain one built on a
-Lanczos (Krylov) propagator for exp(itH). In the energy domain chains, rings
-and meshes take one sampled route for the DOS and the IDS: blocks of samples
-whose LDL^T pivots of H - z give the DOS and whose Sturm count of the pivots
-of H - E gives the IDS. Trees sweep the pivots of H - z for their DOS, one
-cache-sized group of subtrees at a time below a split level. A bug
-in either route is caught by disagreement with the
-exact curves of ``free_models``, which nothing here imports. The Chebyshev
-expansion of exp(itH) cross-checks the Lanczos propagator.
+Lanczos (Krylov) propagator for exp(itH). In the energy domain ``dos_mc`` and
+``ids_mc`` hand their reductions to one function, ``_sampled``, which picks a
+sample's kernel from the operator's structure: the LDL^T pivots of chains,
+rings and meshes (a block of samples at a time) or of trees, or LAPACK. A bug
+in either route is caught by disagreement with the exact curves of
+``free_models``, which nothing here imports. The Chebyshev expansion of
+exp(itH) cross-checks the Lanczos propagator.
 """
 
 from __future__ import annotations
@@ -53,12 +52,18 @@ DENSE_CAP = 4096
 
 
 def worker_count() -> int:
-    """Thread count for sample-level parallelism, from CAUCHYDOS_THREADS (default 1)."""
+    """Thread count for sample-level parallelism, from CAUCHYDOS_THREADS (default 1).
+
+    A value that is not an integer >= 1 raises ValueError.
+    """
     raw = os.environ.get("CAUCHYDOS_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ValueError(f"CAUCHYDOS_THREADS must be an integer, got {raw!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CAUCHYDOS_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _band_form(op: SymmetricOperator) -> np.ndarray | None:
@@ -431,44 +436,10 @@ def _operator_dim(model_spec) -> int:
     return site_count(model_spec)
 
 
-_TREE_CHUNK = 48
-
-
-def _refuse_dense(model_spec) -> None:
-    """Refuse, before any sample is drawn, a LAPACK route above DENSE_CAP."""
-    dim = _operator_dim(model_spec)
-    if dim > DENSE_CAP:
-        raise CapExceededError(
-            f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; use the charfn route"
-        )
-
-
-def _refuse_long_chain(model_spec) -> None:
-    """Refuse, before any sample is drawn, a chain, ring or mesh sweep whose
-    couplings of one sample exceed MAX_GRID_POINTS entries."""
-    n = _operator_dim(model_spec)
-    if n > MAX_GRID_POINTS:
-        raise CapExceededError(f"chain pivot sweep of n={n} sites exceeds {MAX_GRID_POINTS}")
-
-
-def _refuse_deep_tree(spec: TreeSpec) -> None:
-    """Refuse, before any sample is drawn, a tree whose pivot sweep temporary,
-    the deepest level times _TREE_CHUNK energies, exceeds MAX_GRID_POINTS entries."""
-    entries = tree_level_sizes(spec)[-1] * _TREE_CHUNK
-    if entries > MAX_GRID_POINTS:
-        raise CapExceededError(f"tree pivot sweep of depth {spec.depth} needs "
-                               f"{entries} entries per temporary > {MAX_GRID_POINTS}")
-
-
 def _in_blocks(curve, energies: np.ndarray, size: int) -> np.ndarray:
     """``curve`` evaluated on consecutive blocks of ``size`` energies, joined on its last axis."""
     return np.concatenate([curve(energies[start:start + size])
                            for start in range(0, energies.size, size)], axis=-1)
-
-
-def _is_chain(spec) -> bool:
-    """Whether ``spec``'s operators are chains, rings or meshes: d=1 boxes and bump families."""
-    return isinstance(spec, BumpFamily) or (isinstance(spec, LatticeBoxSpec) and spec.d == 1)
 
 
 def _chain_green_diagonals(couplings: list, z: np.ndarray, mode: str) -> np.ndarray:
@@ -546,8 +517,9 @@ def _chain_green_diagonals(couplings: list, z: np.ndarray, mode: str) -> np.ndar
     return ((1.0 + slopes) / s - logs).imag / np.pi / n
 
 
-# vertices of the deepest level per group of the tree sweep: at 48 energies a
-# group's largest buffer is 1.5 MiB, within a 2 MiB L2
+# energies per call of the tree sweep, and vertices of the deepest level per
+# group of it: at 48 energies a group's largest buffer is 1.5 MiB, within a 2 MiB L2
+_TREE_CHUNK = 48
 _TREE_GROUP = 2048
 
 
@@ -647,29 +619,50 @@ def _tree_green_diagonals(spec: TreeSpec, omegas: np.ndarray, z: np.ndarray,
     return -(total + slope * g_root).imag / np.pi / omegas.size
 
 
-def _chain_mc(model_spec, kernel: CauchyKernel | None, energies: np.ndarray, n_samples: int,
-              master_seed: int, curves) -> McEstimate:
-    """The chain route of ``dos_mc`` and ``ids_mc``: d=1 boxes and bump families.
+def _sampled(spec, kernel: CauchyKernel | None, energies: np.ndarray, n_samples: int,
+             master_seed: int, *, chain, solve, spectrum, tree=None) -> McEstimate:
+    """One curve over ``energies`` per sample, by the route that ``spec`` picks.
 
-    Sample i's input is ``_chain_couplings`` of its operator, and
-    curves(couplings, e) gives a block of samples' rows at the energies e. A
-    block's couplings hold at most MAX_GRID_POINTS entries, samples x sites
-    (a longer chain is refused before any sample is drawn), and the block is
-    swept in energy blocks whose temporaries, samples x energies, hold at most
-    _SWEEP_ENTRIES entries.
+    The route is picked once, and its one bound is checked before any sample
+    is drawn: a pivot sweep refuses a spec whose one sample holds more than
+    MAX_GRID_POINTS couplings, LAPACK one above DENSE_CAP. The routes:
+
+    - chain sweep, for chains, rings and meshes (d=1 boxes and bump
+      families): sample i's input is ``_chain_couplings`` of its operator,
+      and chain(couplings, e) gives a block of samples' rows at the energies
+      e. A block's couplings hold at most MAX_GRID_POINTS entries, samples x
+      sites, and it is swept in energy blocks whose temporaries, samples x
+      energies, hold at most _SWEEP_ENTRIES entries.
+    - tree sweep, for trees when ``tree`` is given: tree(omegas, e) is one
+      sample's curve, in blocks of _TREE_CHUNK energies.
+    - LAPACK otherwise: spectrum(solve(op), e) is one sample's curve, in
+      blocks of energies whose energies x n entries are at most MAX_GRID_POINTS.
     """
-    _refuse_long_chain(model_spec)
-    n_sites = site_count(model_spec)
-    cap = max(1, min(_SWEEP_ENTRIES // energies.size,
-                     MAX_GRID_POINTS // _operator_dim(model_spec)))
+    n_sites, dim = site_count(spec), _operator_dim(spec)
+    chained = isinstance(spec, BumpFamily) or (isinstance(spec, LatticeBoxSpec) and spec.d == 1)
+    route = "chain" if chained else "tree" if tree and isinstance(spec, TreeSpec) else "lapack"
+    if route != "lapack" and dim > MAX_GRID_POINTS:
+        raise CapExceededError(f"{route} pivot sweep of n={dim} sites exceeds {MAX_GRID_POINTS}")
+    if route == "lapack" and dim > DENSE_CAP:
+        raise CapExceededError(f"dense eigensolve of n={dim} exceeds cap {DENSE_CAP}; "
+                               "use the charfn route")
+    sweep, cap = None, 1
+    if route == "chain":
+        cap = max(1, min(_SWEEP_ENTRIES // energies.size, MAX_GRID_POINTS // dim))
+
+        def sweep(couplings):
+            return _in_blocks(lambda e: chain(couplings, e), energies,
+                              max(1, _SWEEP_ENTRIES // len(couplings)))
 
     def per_sample(i):
-        return _chain_couplings(build_operator(model_spec,
-                                               draw_sample(kernel, n_sites, master_seed, i)))
-
-    def sweep(couplings):
-        return _in_blocks(lambda e: curves(couplings, e), energies,
-                          max(1, _SWEEP_ENTRIES // len(couplings)))
+        sample = draw_sample(kernel, n_sites, master_seed, i)
+        if route == "tree":
+            return _in_blocks(lambda e: tree(sample.omegas, e), energies, _TREE_CHUNK)
+        op = build_operator(spec, sample)
+        if route == "chain":
+            return _chain_couplings(op)
+        solved = solve(op)
+        return _in_blocks(lambda e: spectrum(solved, e), energies, max(1, MAX_GRID_POINTS // dim))
 
     return _run_samples(per_sample, n_samples, worker_count(), energies, sweep, cap)
 
@@ -682,54 +675,31 @@ def dos_mc(model_spec, kernel: CauchyKernel | None, grid: EnergyGrid, n_samples:
     ``broaden``; the expectation then equals the exact free curve smoothed at
     scale lam + broaden. estimator="trace" averages the local measure over all
     sites (unbiased for translation-invariant boxes, far lower variance);
-    "site" uses the single-site measure at the origin/root. Trees take the
-    leaf-to-root pivot sweep in blocks of _TREE_CHUNK energies, which works
-    one group of subtrees at a time below a split level; the refusal still
-    bounds the deepest level times _TREE_CHUNK. Chains, rings and meshes take ``_chain_mc``, whose
-    blocks of samples ``_chain_green_diagonals`` sweeps. d>=2 boxes take
-    LAPACK, bounded by DENSE_CAP, and broaden in blocks of at most
-    MAX_GRID_POINTS entries.
+    "site" uses the single-site measure at the origin/root. ``_sampled`` picks
+    the route: the pivots of H - E - i broaden (``_chain_green_diagonals``,
+    ``_tree_green_diagonals``), or LAPACK's eigenvalues, and for "site" its
+    eigenvectors, broadened by ``cauchy_density``.
     """
     if not (broaden > 0):
         raise ValueError(f"broaden must be > 0 for density estimates, got {broaden}")
     if estimator not in ("trace", "site"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    energies = grid.points
-    if _is_chain(model_spec):
-        return _chain_mc(model_spec, kernel, energies, n_samples, master_seed,
-                         lambda couplings, e: _chain_green_diagonals(couplings, e + 1j * broaden,
-                                                                     estimator))
-    n_sites = site_count(model_spec)
     smear = CauchyKernel(broaden)
 
-    if isinstance(model_spec, TreeSpec):
-        _refuse_deep_tree(model_spec)
+    def solve(op):
+        values, vectors = eig_sym(op) if estimator == "site" else (eigvals_sym(op), None)
+        return values, None if vectors is None else vectors[0] * vectors[0]
 
-        def per_sample(i):
-            omegas = draw_sample(kernel, n_sites, master_seed, i).omegas
+    def spectrum(solved, e):
+        values, weights = solved
+        poisson = cauchy_density(smear, e[:, None] - values)
+        return poisson.sum(axis=1) / values.size if weights is None else poisson @ weights
 
-            def curve(e):
-                return _tree_green_diagonals(model_spec, omegas, e + 1j * broaden, estimator)
-            return _in_blocks(curve, energies, _TREE_CHUNK)
-
-    else:
-        _refuse_dense(model_spec)
-        block = max(1, MAX_GRID_POINTS // _operator_dim(model_spec))
-
-        def per_sample(i):
-            op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
-            if estimator == "trace":
-                values, weights = eigvals_sym(op), None
-            else:
-                values, vectors = eig_sym(op)
-                weights = vectors[0] * vectors[0]
-
-            def curve(e):
-                poisson = cauchy_density(smear, e[:, None] - values)
-                return poisson.sum(axis=1) / values.size if weights is None else poisson @ weights
-            return _in_blocks(curve, energies, block)
-
-    return _run_samples(per_sample, n_samples, worker_count(), energies)
+    return _sampled(
+        model_spec, kernel, grid.points, n_samples, master_seed, solve=solve, spectrum=spectrum,
+        chain=lambda couplings, e: _chain_green_diagonals(couplings, e + 1j * broaden, estimator),
+        tree=lambda omegas, e: _tree_green_diagonals(model_spec, omegas, e + 1j * broaden,
+                                                     estimator))
 
 
 def ids_mc(model_spec, kernel: CauchyKernel | None, e_points, n_samples: int,
@@ -737,27 +707,20 @@ def ids_mc(model_spec, kernel: CauchyKernel | None, e_points, n_samples: int,
     """Disorder-averaged eigenvalue-counting IDS at a 1-d array of energies.
 
     A scalar energy is one point. Counts are divided by the box volume,
-    ``site_count`` (the bump count of a continuum mesh). Chains, rings and
-    meshes (d=1 boxes and bump families) take ``_chain_mc``, whose blocks of
-    samples ``_sturm_counts`` counts, with no DENSE_CAP; trees and d>=2 boxes
-    count the eigenvalues of ``eigvals_sym``, bounded by DENSE_CAP. A NaN or
-    infinite energy raises ValueError before any sample is drawn.
+    ``site_count`` (the bump count of a continuum mesh). ``_sampled`` picks
+    the route: ``_sturm_counts`` for chains, rings and meshes, and for trees
+    and d>=2 boxes the eigenvalues of ``eigvals_sym``. An empty, non-1-d,
+    NaN or infinite energy array raises ValueError before any sample is drawn.
     """
     e_points = np.atleast_1d(np.asarray(e_points, dtype=float))
-    if not np.all(np.isfinite(e_points)):
-        raise ValueError("ids_mc requires finite energies")
+    if e_points.ndim != 1 or not e_points.size or not np.all(np.isfinite(e_points)):
+        raise ValueError("ids_mc requires a non-empty 1-d array of finite energies")
     n_sites = site_count(model_spec)
-    if _is_chain(model_spec):
-        return _chain_mc(model_spec, kernel, e_points, n_samples, master_seed,
-                         lambda couplings, e: _sturm_counts(couplings, e) / n_sites)
-    _refuse_dense(model_spec)
-
-    def per_sample(i):
-        op = build_operator(model_spec, draw_sample(kernel, n_sites, master_seed, i))
-        # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
-        return np.searchsorted(eigvals_sym(op), e_points, side="right") / n_sites
-
-    return _run_samples(per_sample, n_samples, worker_count(), e_points)
+    # both LAPACK drivers return ascending eigenvalues; N(E) counts E_k <= E
+    return _sampled(
+        model_spec, kernel, e_points, n_samples, master_seed, solve=eigvals_sym,
+        spectrum=lambda values, e: np.searchsorted(values, e, side="right") / n_sites,
+        chain=lambda couplings, e: _sturm_counts(couplings, e) / n_sites)
 
 
 def charfn_mc(model_spec, kernel: CauchyKernel | None, t_grid: EnergyGrid, n_samples: int,

@@ -232,12 +232,12 @@ def test_sample_ring_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monk
 
 
 def test_sample_tree_past_the_sweep_bound_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
-    # at depth 40 one sweep temporary would hold 3 * 2^39 * 48 complex entries
+    # at depth 40 one sample would hold 1 + 3 (2^40 - 1) couplings, one per vertex
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn before the cap check")
 
     monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="tree pivot sweep"):
         dos_mc(TreeSpec(2, 40), CauchyKernel(1.0), EnergyGrid(-3.0, 3.0, 0.1), 1, 0, 0.1)
     rc = main(["sample", "--model", "bethe", "--depth", "40", "--samples", "1",
                "--lambda", "1", "--broaden", "0.1", "--grid=-3:3:0.1", "--out", str(tmp_path)])
@@ -415,10 +415,11 @@ def test_ids_bytes_do_not_depend_on_blas_or_sample_threads():
     assert all(o == outputs[0] for o in outputs[1:])
 
 
-def test_malformed_thread_count_is_usage_error(tmp_path):
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_malformed_thread_count_is_usage_error(tmp_path, threads):
     proc = run_cli(["sample", "--model", "lattice", "--size", "16", "--samples", "2",
                     "--lambda", "1", "--broaden", "0.5", "--grid", "-1:1:0.5"],
-                   tmp_path, env_extra={"CAUCHYDOS_THREADS": "abc"})
+                   tmp_path, env_extra={"CAUCHYDOS_THREADS": threads})
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "CAUCHYDOS_THREADS" in proc.stderr
 

@@ -31,7 +31,6 @@ from cauchydos.spectra import (
     _band_form,
     _chain_couplings,
     _chain_green_diagonals,
-    _refuse_deep_tree,
     _sturm_counts,
     _tree_green_diagonals,
     charfn_mc,
@@ -759,11 +758,24 @@ def test_dos_mc_tree_recursion_equals_dense_route():
     assert one.mean.shape == (1,) and 0.0 < one.mean[0] < np.inf
 
 
-def test_tree_sweep_bound_admits_k2_up_to_depth_17():
-    # deepest level times the 48-energy chunk: 3 * 2^16 * 48 = 9.4e6 <= MAX_GRID_POINTS
-    _refuse_deep_tree(TreeSpec(2, 17))
-    with pytest.raises(CapExceededError):
-        _refuse_deep_tree(TreeSpec(2, 18))
+def test_tree_sweep_bound_admits_k2_up_to_depth_21_and_k3_up_to_depth_14(monkeypatch):
+    # the bound is one sample's couplings, a float per vertex: 1 + 3 (2^21 - 1) = 6.3e6
+    # and 1 + 2 (3^14 - 1) = 9.6e6 vertices are within MAX_GRID_POINTS, one level
+    # deeper is not; an admitted spec reaches the first draw, a refused one draws nothing
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted("admitted")
+
+    monkeypatch.setattr("cauchydos.spectra.draw_sample", admitted)
+    grid = EnergyGrid(-1.0, 1.0, 0.5)
+    for spec in (TreeSpec(2, 21), TreeSpec(3, 14)):
+        with pytest.raises(Admitted):
+            dos_mc(spec, K1, grid, 1, 0, 0.1)
+    for spec in (TreeSpec(2, 22), TreeSpec(3, 15)):
+        with pytest.raises(CapExceededError, match="tree pivot sweep"):
+            dos_mc(spec, K1, grid, 1, 0, 0.1)
 
 
 def test_dos_mc_depth_zero_tree_is_pure_cauchy():
@@ -874,28 +886,35 @@ def test_ids_mc_refuses_a_tree_above_the_dense_cap_before_sampling(monkeypatch):
         ids_mc(TreeSpec(2, 11), K1, [0.0], 1, 0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("energies", [[np.nan, 0.5], [np.inf, 0.5], [], [[0.0, 0.5]]],
+                         ids=["nan", "inf", "empty", "2-d"])
 @pytest.mark.parametrize("spec", [LatticeBoxSpec(1, 8), BumpFamily(5, 0.2), TreeSpec(2, 2)])
-def test_ids_mc_refuses_a_non_finite_energy_before_sampling(monkeypatch, spec, bad):
-    # the Sturm count and searchsorted would each give a NaN energy its own count
+def test_ids_mc_refuses_a_non_finite_energy_before_sampling(monkeypatch, spec, energies):
+    # the Sturm count and searchsorted would each give a NaN energy its own count;
+    # no energy would divide by zero in the chain block cap, and a 2-d array
+    # would fail to broadcast on chains but give a 2-d estimate on trees
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn before the energies were checked")
 
     monkeypatch.setattr("cauchydos.spectra.draw_sample", no_sampling)
-    with pytest.raises(ValueError, match="finite"):
-        ids_mc(spec, K1, [bad, 0.5], 1, 0)
+    with pytest.raises(ValueError, match="non-empty 1-d array of finite energies"):
+        ids_mc(spec, K1, energies, 1, 0)
 
 
 def test_dos_mc_energy_blocks_do_not_move_the_curves(monkeypatch):
     # a cap of 2000 broadening entries splits 161 energies into blocks of 13
     # for the d=2 box, the last one short; a cap of 100 sweep entries splits
     # the 3 samples of the ring and the mesh, one block at the default cap,
-    # into single samples in energy blocks of 100 and 61, on two threads
+    # into single samples in energy blocks of 100 and 61, on two threads; the
+    # LAPACK counts of ids_mc take the same blocks, of 13 energies for the d=2
+    # box and of 21 for the 94-vertex tree
     grid = EnergyGrid(-4.0, 4.0, 0.05)
     specs = (LatticeBoxSpec(1, 300), LatticeBoxSpec(2, 12), BumpFamily(25, 0.1))
+    counted = (LatticeBoxSpec(2, 12), TreeSpec(2, 5))
     monkeypatch.setenv("CAUCHYDOS_THREADS", "1")
     whole = {(spec, est): dos_mc(spec, K1, grid, 3, 5, 0.2, estimator=est)
              for spec in specs for est in ("trace", "site")}
+    counts = {spec: ids_mc(spec, K1, grid.points, 3, 5) for spec in counted}
     monkeypatch.setattr("cauchydos.spectra.MAX_GRID_POINTS", 2000)
     monkeypatch.setattr("cauchydos.spectra._SWEEP_ENTRIES", 100)
     monkeypatch.setenv("CAUCHYDOS_THREADS", "2")
@@ -907,6 +926,10 @@ def test_dos_mc_energy_blocks_do_not_move_the_curves(monkeypatch):
         else:
             assert np.array_equal(blocks.mean, ref.mean)
             assert np.array_equal(blocks.std_error, ref.std_error)
+    for spec, ref in counts.items():
+        blocks = ids_mc(spec, K1, grid.points, 3, 5)
+        assert np.array_equal(blocks.mean, ref.mean)
+        assert np.array_equal(blocks.std_error, ref.std_error)
 
 
 def test_ids_mc_free_single_sample_matches_direct_count():
